@@ -1,6 +1,8 @@
 """Command line surface: diagrams, distances, isometry verification, transfer.
 
-Exit codes: 0 success, 1 property violation, 2 input error.
+Exit codes: 0 success, 1 property violation, 2 input error, 3 internal
+error (an unexpected exception; one ``internal error: <Type>: <message>``
+line goes to stderr).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .rationals import format_ratio
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 @dataclass
@@ -39,7 +42,6 @@ class RunConfig:
     trials: int = 100
     grid: int = 8
     budget: int = DEFAULT_BUDGET
-    window: int = 3
     fmt: str = "text"
 
     def validate(self) -> None:
@@ -51,8 +53,6 @@ class RunConfig:
             raise ValueError("grid resolution must be at least 2")
         if self.budget < 1:
             raise ValueError("budget must be positive")
-        if self.window < 0:
-            raise ValueError("window must be nonnegative")
 
 
 def random_circle_module(rng: random.Random, grid: int, max_intervals: int = 3) -> CircleModule:
@@ -154,7 +154,6 @@ def _cmd_verify_isometry(args) -> int:
         trials=args.trials,
         grid=args.grid,
         budget=args.budget,
-        window=args.window,
         fmt=args.format,
     )
     cfg.validate()
@@ -308,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--trials", type=int, default=100)
     p_verify.add_argument("--grid", type=int, default=8, help="grid resolution N")
     p_verify.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p_verify.add_argument("--window", type=int, default=3)
     p_verify.add_argument("--format", choices=["text", "json-lines"], default="text")
 
     p_transfer = sub.add_parser(
@@ -347,6 +345,10 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
+    except Exception as exc:
+        # exit 1 is reserved for a violated property, so a crash needs its own code
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

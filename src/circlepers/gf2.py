@@ -1,110 +1,146 @@
-"""Dense linear algebra over the two-element field.
+"""Dense linear algebra over the two-element field, on Python-int bitsets.
 
-Matrices are numpy uint8 arrays holding 0/1 entries.  Dimensions here are
-tiny (tens at most), so clarity beats asymptotics; elimination is vectorised
-row-wise but otherwise plain Gauss-Jordan.
+A :class:`Matrix` stores one Python int per row, where bit c is the entry in
+column c, plus the column count.  A vector is a single int in the same
+layout.  Row operations are whole-row XORs, in the spirit of M4RI; the
+dimensions met here are tiny (tens of rows, a few hundred columns at most),
+so plain Gauss-Jordan on those ints is all that is needed.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from dataclasses import dataclass
 
 
-def zeros(rows: int, cols: int) -> np.ndarray:
-    return np.zeros((rows, cols), dtype=np.uint8)
+@dataclass(frozen=True)
+class Matrix:
+    """A 0/1 matrix: ``rows[r]`` holds row r with column c at bit c."""
+
+    rows: tuple[int, ...]
+    cols: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.rows), self.cols)
+
+    def tolist(self) -> list[list[int]]:
+        return [[row >> c & 1 for c in range(self.cols)] for row in self.rows]
+
+    def __matmul__(self, other: "Matrix") -> "Matrix":
+        return matmul(self, other)
 
 
-def identity(n: int) -> np.ndarray:
-    return np.eye(n, dtype=np.uint8)
+def identity(n: int) -> Matrix:
+    return Matrix(tuple(1 << r for r in range(n)), n)
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # inner dimensions stay well below 2**8, so uint8 accumulation is exact
-    return (a.astype(np.uint32) @ b.astype(np.uint32) & 1).astype(np.uint8)
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    """The product ``a @ b`` mod 2: row r XORs the rows of b that row r of a selects."""
+    if a.cols != len(b.rows):
+        raise ValueError(f"cannot multiply shapes {a.shape} and {b.shape}")
+    b_rows = b.rows
+    out = []
+    for row in a.rows:
+        acc = 0
+        while row:
+            low = row & -row
+            acc ^= b_rows[low.bit_length() - 1]
+            row ^= low
+        out.append(acc)
+    return Matrix(tuple(out), b.cols)
 
 
-def rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form and the list of pivot columns (copy, mod 2)."""
-    m = a.copy()
-    rows, cols = m.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        hits = np.nonzero(m[r:, c])[0]
-        if hits.size == 0:
-            continue
-        pivot = r + int(hits[0])
-        if pivot != r:
-            m[[r, pivot]] = m[[pivot, r]]
-        mask = m[:, c] == 1
-        mask[r] = False
-        m[mask] ^= m[r]
-        pivots.append(c)
-        r += 1
-    return m, pivots
+def rref(a: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form and the list of pivot columns (ascending).
+
+    The reduced matrix keeps the shape of *a*: pivot rows in pivot order,
+    then zero rows.
+    """
+    basis: dict[int, int] = {}  # pivot bit -> row whose lowest set bit it is
+    for row in a.rows:
+        for bit, prow in basis.items():
+            if row & bit:
+                row ^= prow
+        if row:
+            low = row & -row
+            for bit, prow in basis.items():
+                if prow & low:
+                    basis[bit] = prow ^ row
+            basis[low] = row
+    order = sorted(basis)
+    reduced = [basis[bit] for bit in order]
+    reduced.extend([0] * (len(a.rows) - len(reduced)))
+    return Matrix(tuple(reduced), a.cols), [bit.bit_length() - 1 for bit in order]
 
 
-def reduce_vector(reduced: np.ndarray, pivots: list[int], vec: np.ndarray) -> np.ndarray:
+def reduce_vector(reduced: Matrix, pivots: list[int], vec: int) -> int:
     """Residue of *vec* after elimination against an rref basis."""
-    out = vec.copy()
-    for row, col in enumerate(pivots):
-        if out[col]:
-            out ^= reduced[row]
-    return out
+    for row, col in zip(reduced.rows, pivots):
+        if vec >> col & 1:
+            vec ^= row
+    return vec
 
 
-def nullspace(a: np.ndarray) -> np.ndarray:
-    """Rows of the result form a basis of the kernel of *a*."""
+def nullspace(a: Matrix) -> Matrix:
+    """Rows of the result form a basis of the kernel of *a*.
+
+    One basis vector per free column, in ascending order: the free column's
+    bit plus the pivot columns whose reduced row has that bit set.
+    """
     m, pivots = rref(a)
-    cols = a.shape[1]
     pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    basis = zeros(len(free), cols)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for r, pc in enumerate(pivots):
-            if m[r, fc]:
-                basis[i, pc] = 1
-    return basis
+    basis = []
+    for fc in range(a.cols):
+        if fc in pivot_set:
+            continue
+        vec = 1 << fc
+        for row, pc in zip(m.rows, pivots):
+            if row >> fc & 1:
+                vec |= 1 << pc
+        basis.append(vec)
+    return Matrix(tuple(basis), a.cols)
 
 
-def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """One solution of ``a @ x = b`` or None if the system is inconsistent."""
-    aug = np.concatenate([a, b.reshape(-1, 1).astype(np.uint8)], axis=1)
+def solve(a: Matrix, b: int) -> int | None:
+    """One solution of ``a @ x = b`` or None if the system is inconsistent.
+
+    Bit r of *b* is the right-hand side of row r; the solution sets only
+    pivot columns.
+    """
+    n = a.cols
+    aug = Matrix(tuple(row | (b >> r & 1) << n for r, row in enumerate(a.rows)), n + 1)
     m, pivots = rref(aug)
-    if a.shape[1] in pivots:
+    if pivots and pivots[-1] == n:
         return None
-    x = np.zeros(a.shape[1], dtype=np.uint8)
-    for r, pc in enumerate(pivots):
-        x[pc] = m[r, -1]
+    x = 0
+    for row, pc in zip(m.rows, pivots):
+        x |= (row >> n & 1) << pc
     return x
 
 
-def lex_min_solution(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """Solution of ``a @ x = b`` minimising ``sum(x[k] * 2**k)``.
+def lex_min_solution(a: Matrix, b: int) -> int | None:
+    """Solution of ``a @ x = b`` minimising ``sum(x[k] * 2**k)``, as an int.
 
     This is the first solution an ascending-bitmask enumeration of candidate
     vectors would reach, which is the tie-break order used by the
     interleaving search.  Returns None when the system is inconsistent.
+
+    The solutions are one particular solution plus the kernel.  With the
+    kernel basis echelonised by highest bit, clearing each leading bit of the
+    particular solution from the top down reaches the smallest integer.
     """
-    n = a.shape[1]
-    rows = [a]
-    rhs = [b.astype(np.uint8)]
-
-    def consistent() -> bool:
-        stacked = np.concatenate(rows, axis=0)
-        stacked_rhs = np.concatenate(rhs)
-        return solve(stacked, stacked_rhs) is not None
-
-    if not consistent():
+    x = solve(a, b)
+    if x is None:
         return None
-    for k in range(n - 1, -1, -1):
-        unit = zeros(1, n)
-        unit[0, k] = 1
-        rows.append(unit)
-        rhs.append(np.zeros(1, dtype=np.uint8))
-        if not consistent():
-            rhs[-1] = np.ones(1, dtype=np.uint8)
-    return solve(np.concatenate(rows, axis=0), np.concatenate(rhs))
+    leading: dict[int, int] = {}  # highest bit -> kernel vector led by it
+    for vec in nullspace(a).rows:
+        while vec:
+            top = vec.bit_length() - 1
+            if top not in leading:
+                leading[top] = vec
+                break
+            vec ^= leading[top]
+    for top in sorted(leading, reverse=True):
+        if x >> top & 1:
+            x ^= leading[top]
+    return x

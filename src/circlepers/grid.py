@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import gf2
+from .gf2 import Matrix
 from .intervals import CircleInterval, CircleModule, translate_basis
 
 BasisLabel = tuple[int, int]  # (source interval index, integer translate)
@@ -24,7 +23,7 @@ BasisLabel = tuple[int, int]  # (source interval index, integer translate)
 class GridModule:
     resolution: int
     dims: tuple[int, ...]
-    steps: tuple[np.ndarray, ...]
+    steps: tuple[Matrix, ...]
     basis: tuple[tuple[BasisLabel, ...], ...]
     sources: tuple[CircleInterval, ...]
 
@@ -76,12 +75,11 @@ def to_grid(m: CircleModule, n: int) -> GridModule:
         # advances the translate index by one
         bump = 1 if j == n - 1 else 0
         source_pos = {label: c for c, label in enumerate(node_basis[j])}
-        matrix = np.zeros((len(node_basis[target]), len(node_basis[j])), dtype=np.uint8)
-        for r, (idx, k) in enumerate(node_basis[target]):
+        rows = []
+        for idx, k in node_basis[target]:
             c = source_pos.get((idx, k - bump))
-            if c is not None:
-                matrix[r, c] = 1
-        steps.append(matrix)
+            rows.append(0 if c is None else 1 << c)
+        steps.append(Matrix(tuple(rows), len(node_basis[j])))
 
     return GridModule(
         resolution=n,
@@ -102,26 +100,27 @@ def direct_sum(a: GridModule, b: GridModule) -> GridModule:
     steps = []
     basis = []
     for j in range(n):
-        block = np.zeros((dims[(j + 1) % n], dims[j]), dtype=np.uint8)
-        block[: a.dims[(j + 1) % n], : a.dims[j]] = a.steps[j]
-        block[a.dims[(j + 1) % n] :, a.dims[j] :] = b.steps[j]
-        steps.append(block)
+        # b's block sits below and to the right of a's
+        shifted = tuple(row << a.dims[j] for row in b.steps[j].rows)
+        steps.append(Matrix(a.steps[j].rows + shifted, dims[j]))
         basis.append(
             tuple(a.basis[j]) + tuple((idx + offset, k) for idx, k in b.basis[j])
         )
     return GridModule(n, dims, tuple(steps), tuple(basis), a.sources + b.sources)
 
 
-def step_composite(g: GridModule, start: int, count: int) -> np.ndarray:
+def step_composite(g: GridModule, start: int, count: int) -> Matrix:
     """Composite of *count* consecutive step maps starting at node *start*."""
     n = g.resolution
-    acc = gf2.identity(g.dims[start % n])
-    for t in range(count):
+    if count == 0:
+        return gf2.identity(g.dims[start % n])
+    acc = g.steps[start % n]
+    for t in range(1, count):
         acc = gf2.matmul(g.steps[(start + t) % n], acc)
     return acc
 
 
-def loop_map(g: GridModule) -> np.ndarray:
+def loop_map(g: GridModule) -> Matrix:
     """The around-the-circle composite based at node 0."""
     return step_composite(g, 0, g.resolution)
 
@@ -132,4 +131,4 @@ def loop_is_nilpotent(g: GridModule) -> bool:
     power = gf2.identity(m.shape[0])
     for _ in range(max(m.shape[0], 1)):
         power = gf2.matmul(m, power)
-    return not power.any()
+    return not any(power.rows)

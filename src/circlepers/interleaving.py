@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-
 from . import gf2
+from .gf2 import Matrix
 from .grid import GridModule, direct_sum, step_composite
 from .intervals import CircleModule, LineInterval, diagram_of
 from .metric_plane import diag_cost, linf
@@ -42,7 +41,7 @@ class GridMorphism:
     """
 
     shift: int
-    maps: tuple[np.ndarray, ...]
+    maps: tuple[Matrix, ...]
 
 
 class FeasibilityResult(NamedTuple):
@@ -81,12 +80,13 @@ def _morphism_shapes(v: GridModule, w: GridModule, shift: int) -> list[tuple[int
     return [(w.dims[(j + shift) % n], v.dims[j]) for j in range(n)]
 
 
-def _hom_space(v: GridModule, w: GridModule, shift: int) -> list[list[np.ndarray]]:
+def _hom_space(v: GridModule, w: GridModule, shift: int) -> list[list[Matrix]]:
     """Basis of the space of degree-``shift`` morphisms from v to w.
 
     A candidate assigns a matrix to every node; commuting with all step maps
     is a homogeneous linear condition on the entries, so the space is the
-    nullspace of one stacked system.
+    nullspace of one stacked system.  The unknowns are the entries of all
+    node matrices, row-major, node after node.
     """
     n = v.resolution
     shapes = _morphism_shapes(v, w, shift)
@@ -96,68 +96,69 @@ def _hom_space(v: GridModule, w: GridModule, shift: int) -> list[list[np.ndarray
         offsets.append(total)
         total += rows * cols
 
-    n_eq = sum(w.dims[(j + shift + 1) % n] * v.dims[j] for j in range(n))
-    system = np.zeros((n_eq, total), dtype=np.uint8)
-    eq = 0
+    equations = []
     for j in range(n):
         j_next = (j + 1) % n
-        v_step = v.steps[j]
+        v_rows = v.steps[j].rows
         w_step = w.steps[(j + shift) % n]
-        rows_out = w.dims[(j + shift + 1) % n]
-        cols_out = v.dims[j]
-        for r in range(rows_out):
-            for c in range(cols_out):
-                row = system[eq]
+        next_off, next_cols = offsets[j_next], v.dims[j_next]
+        here_off, here_cols = offsets[j], v.dims[j]
+        for r in range(w.dims[(j + shift + 1) % n]):
+            w_row = w_step.rows[r]
+            for c in range(here_cols):
+                eq = 0
                 # entries of the candidate at node j+1, composed with the v step
-                for k in range(v.dims[j_next]):
-                    if v_step[k, c]:
-                        row[offsets[j_next] + r * v.dims[j_next] + k] ^= 1
+                for k, v_row in enumerate(v_rows):
+                    if v_row >> c & 1:
+                        eq ^= 1 << (next_off + r * next_cols + k)
                 # entries at node j, composed with the w step
-                for k in range(w.dims[(j + shift) % n]):
-                    if w_step[r, k]:
-                        row[offsets[j] + k * v.dims[j] + c] ^= 1
-                eq += 1
+                for k in range(w_step.cols):
+                    if w_row >> k & 1:
+                        eq ^= 1 << (here_off + k * here_cols + c)
+                equations.append(eq)
 
-    basis_rows = gf2.nullspace(system)
     basis = []
-    for vec in basis_rows:
+    for vec in gf2.nullspace(Matrix(tuple(equations), total)).rows:
         mats = []
         for (rows, cols), off in zip(shapes, offsets):
-            mats.append(vec[off : off + rows * cols].reshape(rows, cols).copy())
+            row_mask = (1 << cols) - 1
+            mats.append(Matrix(tuple(vec >> (off + r * cols) & row_mask for r in range(rows)), cols))
         basis.append(mats)
     return basis
 
 
-def _zero_morphism(v: GridModule, w: GridModule, shift: int) -> list[np.ndarray]:
-    return [np.zeros(shape, dtype=np.uint8) for shape in _morphism_shapes(v, w, shift)]
+def _pack(mats) -> tuple[int, int]:
+    """The entries of *mats*, row-major and matrix after matrix, as one int
+    vector; also its length."""
+    out = 0
+    pos = 0
+    for m in mats:
+        for row in m.rows:
+            out |= row << pos
+            pos += m.cols
+    return out, pos
 
 
-def _triangle_system(
-    alpha: list[np.ndarray],
-    beta_stack: list[np.ndarray],
-    target_v: list[np.ndarray],
-    target_w: list[np.ndarray],
-    shift: int,
-    n: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Linear system, over the backward-morphism coefficients, expressing both
-    triangle identities for a fixed forward candidate."""
-    d_b = beta_stack[0].shape[0] if beta_stack else 0
-    t_blocks = []
-    rhs_blocks = []
-    for j in range(n):
-        t = (j + shift) % n
-        # backward(t) @ alpha(j) must equal the 2*shift composite of v at j
-        prod = (beta_stack[t].astype(np.uint32) @ alpha[j].astype(np.uint32) & 1).astype(np.uint8)
-        t_blocks.append(prod.reshape(d_b, prod.shape[1] * prod.shape[2]).T)
-        rhs_blocks.append(target_v[j].reshape(target_v[j].size))
-        # alpha(t) @ backward(j) must equal the 2*shift composite of w at j
-        prod = (alpha[t].astype(np.uint32) @ beta_stack[j].astype(np.uint32) & 1).astype(np.uint8)
-        t_blocks.append(prod.reshape(d_b, prod.shape[1] * prod.shape[2]).T)
-        rhs_blocks.append(target_w[j].reshape(target_w[j].size))
-    t_matrix = np.concatenate(t_blocks, axis=0)
-    rhs = np.concatenate(rhs_blocks)
-    return t_matrix, rhs
+def _triangle_block(alpha: list[Matrix], beta: list[Matrix], shift: int, n: int) -> int:
+    """Both triangle composites of one forward and one backward morphism,
+    packed in the order of the right-hand side in `feasible_interleaving`."""
+    block, _ = _pack(
+        m
+        for j in range(n)
+        for m in (beta[(j + shift) % n] @ alpha[j], alpha[(j + shift) % n] @ beta[j])
+    )
+    return block
+
+
+def _combination(basis: list[list[Matrix]], coefficients: int, shapes) -> tuple[Matrix, ...]:
+    """The sum of the basis morphisms selected by the bits of *coefficients*."""
+    acc = [[0] * rows for rows, _ in shapes]
+    for k, mats in enumerate(basis):
+        if coefficients >> k & 1:
+            for node_rows, m in zip(acc, mats):
+                for r, row in enumerate(m.rows):
+                    node_rows[r] ^= row
+    return tuple(Matrix(tuple(rows), cols) for rows, (_, cols) in zip(acc, shapes))
 
 
 def feasible_interleaving(
@@ -174,6 +175,10 @@ def feasible_interleaving(
     coefficients, so the backward scan collapses to a consistency check that
     accepts and reports exactly the first passing pair of the full product
     scan.  Instances whose candidate product exceeds *budget* are rejected.
+
+    The identities are bilinear in the two coefficient vectors, so the
+    column of backward coefficient k, for forward mask x, is the XOR over
+    the bits i of x of one precomputed block per pair (i, k).
     """
     if v.resolution != w.resolution:
         raise ValueError("grid modules must share a resolution")
@@ -191,43 +196,40 @@ def feasible_interleaving(
             f"candidate product 2**{d_a + d_b} exceeds the budget of {budget} pairs"
         )
 
-    target_v = [step_composite(v, j, 2 * s) for j in range(n)]
-    target_w = [step_composite(w, j, 2 * s) for j in range(n)]
+    # per node j: backward(j+s) @ forward(j) must equal the 2s composite of
+    # v at j, and forward(j+s) @ backward(j) the 2s composite of w at j
+    rhs, width = _pack(
+        m for j in range(n) for m in (step_composite(v, j, 2 * s), step_composite(w, j, 2 * s))
+    )
 
-    beta_shapes = _morphism_shapes(w, v, s)
-    beta_stack = []
-    for j in range(n):
-        rows, cols = beta_shapes[j]
-        stacked = np.zeros((d_b, rows, cols), dtype=np.uint8)
-        for k in range(d_b):
-            stacked[k] = basis_b[k][j]
-        beta_stack.append(stacked)
-
-    current = _zero_morphism(v, w, s)
+    blocks: list[list[int]] = []  # blocks[i][k]; row i is built when bit i first flips
+    columns = [0] * d_b
     for mask in range(1 << d_a):
         if mask:
             flipped = mask ^ (mask - 1)
-            k = 0
+            i = 0
             while flipped:
                 if flipped & 1:
-                    for j in range(n):
-                        current[j] ^= basis_a[k][j]
+                    if i == len(blocks):
+                        blocks.append([_triangle_block(basis_a[i], beta, s, n) for beta in basis_b])
+                    columns = [c ^ b for c, b in zip(columns, blocks[i])]
                 flipped >>= 1
-                k += 1
-        t_matrix, rhs = _triangle_system(current, beta_stack, target_v, target_w, s, n)
-        reduced, pivots = gf2.rref(t_matrix.T)
-        residue = gf2.reduce_vector(reduced, pivots, rhs)
-        if residue.any():
+                i += 1
+        reduced, pivots = gf2.rref(Matrix(tuple(columns), width))
+        if gf2.reduce_vector(reduced, pivots, rhs):
             continue
-        coefficients = gf2.lex_min_solution(t_matrix, rhs)
+        # the same system with one row per equation, to pick the backward
+        # coefficients the product scan would reach first
+        system = Matrix(
+            tuple(
+                sum((col >> e & 1) << k for k, col in enumerate(columns)) for e in range(width)
+            ),
+            d_b,
+        )
+        coefficients = gf2.lex_min_solution(system, rhs)
         assert coefficients is not None
-        beta = _zero_morphism(w, v, s)
-        for k in range(d_b):
-            if coefficients[k]:
-                for j in range(n):
-                    beta[j] ^= basis_b[k][j]
-        forward = GridMorphism(s, tuple(m.copy() for m in current))
-        backward = GridMorphism(s, tuple(beta))
+        forward = GridMorphism(s, _combination(basis_a, mask, _morphism_shapes(v, w, s)))
+        backward = GridMorphism(s, _combination(basis_b, coefficients, _morphism_shapes(w, v, s)))
         return FeasibilityResult(True, forward, backward)
     return FeasibilityResult(False, None, None)
 
@@ -244,7 +246,7 @@ def is_degree_morphism(v: GridModule, w: GridModule, morphism: GridMorphism) -> 
     for j in range(n):
         left = gf2.matmul(morphism.maps[(j + 1) % n], v.steps[j])
         right = gf2.matmul(w.steps[(j + s) % n], morphism.maps[j])
-        if not np.array_equal(left, right):
+        if left != right:
             return False
     return True
 
@@ -261,10 +263,10 @@ def is_interleaving_pair(
         return False
     for j in range(n):
         through_w = gf2.matmul(backward.maps[(j + s) % n], forward.maps[j])
-        if not np.array_equal(through_w, step_composite(v, j, 2 * s)):
+        if through_w != step_composite(v, j, 2 * s):
             return False
         through_v = gf2.matmul(forward.maps[(j + s) % n], backward.maps[j])
-        if not np.array_equal(through_v, step_composite(w, j, 2 * s)):
+        if through_v != step_composite(w, j, 2 * s):
             return False
     return True
 

@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-import numpy as np
 
+from .gf2 import Matrix
 from .metric_plane import Diagram, PlanePoint
 from .metric_quotient import QuotientDiagram, QuotientPoint
 from .rationals import NEG_INF, INF, Ext, as_ext, as_fraction, is_finite
@@ -123,10 +123,6 @@ class CircleInterval:
         """The translate by *k* of the canonical representative, as a line interval."""
         return LineInterval(self.lo + k, self.hi + k, self.lo_kind, self.hi_kind)
 
-    def contains_translate(self, x: Fraction, k: int) -> bool:
-        """Whether the point x + k lies in the canonical representative."""
-        return self.line_representative().contains(x + k)
-
 
 def _sort_key_line(ival: LineInterval):
     return (ival.lo, ival.hi, ival.lo_kind.value, ival.hi_kind.value)
@@ -159,17 +155,14 @@ class CircleModule:
             self, "intervals", tuple(sorted(self.intervals, key=_sort_key_circle))
         )
 
-    def max_length(self) -> Fraction:
-        if not self.intervals:
-            return Fraction(0)
-        return max(ival.length for ival in self.intervals)
-
-
 def _translate_range(ival: CircleInterval, x: Fraction) -> range:
-    # k with x + k possibly inside the canonical representative, padded by one
-    lo_k = math.floor(ival.lo - x) - 1
-    hi_k = math.ceil(ival.hi - x) + 1
-    return range(lo_k, hi_k + 1)
+    # the integers k with x + k in the canonical representative: lo - x <= k
+    # <= hi - x, with the inequality made strict at an open end
+    lo_gap = ival.lo - x
+    hi_gap = ival.hi - x
+    first = math.floor(lo_gap) + 1 if ival.lo_kind is OPEN else math.ceil(lo_gap)
+    last = math.ceil(hi_gap) - 1 if ival.hi_kind is OPEN else math.floor(hi_gap)
+    return range(first, last + 1)
 
 
 def translate_basis(m: CircleModule, x) -> list[tuple[int, int]]:
@@ -180,12 +173,9 @@ def translate_basis(m: CircleModule, x) -> list[tuple[int, int]]:
     interval.  Labels are ordered by interval index, then translate.
     """
     x = as_fraction(x)
-    labels: list[tuple[int, int]] = []
-    for idx, ival in enumerate(m.intervals):
-        for k in _translate_range(ival, x):
-            if ival.contains_translate(x, k):
-                labels.append((idx, k))
-    return labels
+    return [
+        (idx, k) for idx, ival in enumerate(m.intervals) for k in _translate_range(ival, x)
+    ]
 
 
 def dim_at(m: CircleModule, x) -> int:
@@ -203,7 +193,7 @@ def dim_at_line(m: LineModule, x) -> int:
     return sum(1 for ival in m.intervals if ival.contains(x))
 
 
-def structure_map(m: CircleModule, x, y) -> np.ndarray:
+def structure_map(m: CircleModule, x, y) -> Matrix:
     """The map of *m* from the class of *x* to the class of *y*, y - x < 1/2.
 
     Returned as a 0/1 matrix over the two-element field in the canonical
@@ -224,13 +214,12 @@ def structure_map(m: CircleModule, x, y) -> np.ndarray:
         )
     source = translate_basis(m, x)
     target = translate_basis(m, y)
-    matrix = np.zeros((len(target), len(source)), dtype=np.uint8)
     source_pos = {label: c for c, label in enumerate(source)}
-    for r, label in enumerate(target):
+    rows = []
+    for label in target:
         c = source_pos.get(label)
-        if c is not None:
-            matrix[r, c] = 1
-    return matrix
+        rows.append(0 if c is None else 1 << c)
+    return Matrix(tuple(rows), len(source))
 
 
 def lift_module(m: CircleModule, window: int) -> LineModule:

@@ -132,7 +132,10 @@ def _diagram_rows(text: str) -> Iterator[tuple[int, Ext, Ext, int]]:
                 b = _parse_value(str(record["b"]), line_no)
             except KeyError as exc:
                 raise ParseError(line_no, f"missing field {exc}") from exc
-            multiplicity = int(record.get("multiplicity", 1))
+            multiplicity = record.get("multiplicity", 1)
+            # a JSON integer only: int() would truncate 1.7 and accept true
+            if type(multiplicity) is not int:
+                raise ParseError(line_no, f"multiplicity must be an integer, got {multiplicity!r}")
         else:
             parts = line.split()
             if len(parts) not in (2, 3):

@@ -1,8 +1,9 @@
 """Independent reference computations the library is checked against.
 
-Everything here works by definition-level enumeration: all partial matchings,
-all integer translates in a window, and so on.  None of it shares code with
-the algorithmic paths it is used to verify.
+Most of it works by definition-level enumeration: all partial matchings,
+all integer translates in a window, and so on.  The rest is the numpy grid
+search kernel, frozen as it was before the bitset kernel replaced it.  None
+of it shares code with the algorithmic paths it is used to verify.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ import math
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from circlepers import CLOSED, CircleInterval
+import numpy as np
+
+from circlepers import CLOSED, CircleInterval, LineInterval
 from circlepers.metric_quotient import QuotientPoint
 from circlepers.rationals import Ext
 
@@ -73,3 +76,209 @@ def count_translates(interval: CircleInterval, x: Fraction, pad: int = 2) -> int
         elif z == hi and interval.hi_kind is CLOSED and lo != hi:
             count += 1
     return count
+
+
+# -- the numpy grid-search kernel, frozen as the reference ---------------------
+#
+# This is the uint8-array implementation of `circlepers.gf2`, `_hom_space`,
+# `feasible_interleaving` and `translate_basis` that the bitset kernel
+# replaced.  It reads grid modules only through `tolist()`, so it shares no
+# arithmetic with the code it checks, and it must return the same flag and
+# the same witness maps.
+
+
+def as_array(m) -> np.ndarray:
+    """A library matrix as a uint8 array of the same shape."""
+    return np.array(m.tolist(), dtype=np.uint8).reshape(m.shape)
+
+
+def np_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return (a.astype(np.uint32) @ b.astype(np.uint32) & 1).astype(np.uint8)
+
+
+def np_rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    m = a.copy()
+    rows, cols = m.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        hits = np.nonzero(m[r:, c])[0]
+        if hits.size == 0:
+            continue
+        pivot = r + int(hits[0])
+        if pivot != r:
+            m[[r, pivot]] = m[[pivot, r]]
+        mask = m[:, c] == 1
+        mask[r] = False
+        m[mask] ^= m[r]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def np_reduce_vector(reduced: np.ndarray, pivots: list[int], vec: np.ndarray) -> np.ndarray:
+    out = vec.copy()
+    for row, col in enumerate(pivots):
+        if out[col]:
+            out ^= reduced[row]
+    return out
+
+
+def np_nullspace(a: np.ndarray) -> np.ndarray:
+    m, pivots = np_rref(a)
+    cols = a.shape[1]
+    pivot_set = set(pivots)
+    free = [c for c in range(cols) if c not in pivot_set]
+    basis = np.zeros((len(free), cols), dtype=np.uint8)
+    for i, fc in enumerate(free):
+        basis[i, fc] = 1
+        for r, pc in enumerate(pivots):
+            if m[r, fc]:
+                basis[i, pc] = 1
+    return basis
+
+
+def np_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    aug = np.concatenate([a, b.reshape(-1, 1).astype(np.uint8)], axis=1)
+    m, pivots = np_rref(aug)
+    if a.shape[1] in pivots:
+        return None
+    x = np.zeros(a.shape[1], dtype=np.uint8)
+    for r, pc in enumerate(pivots):
+        x[pc] = m[r, -1]
+    return x
+
+
+def np_lex_min_solution(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """Fixes the coefficients from the highest down, trying 0 first."""
+    n = a.shape[1]
+    rows = [a]
+    rhs = [b.astype(np.uint8)]
+
+    def consistent() -> bool:
+        return np_solve(np.concatenate(rows, axis=0), np.concatenate(rhs)) is not None
+
+    if not consistent():
+        return None
+    for k in range(n - 1, -1, -1):
+        unit = np.zeros((1, n), dtype=np.uint8)
+        unit[0, k] = 1
+        rows.append(unit)
+        rhs.append(np.zeros(1, dtype=np.uint8))
+        if not consistent():
+            rhs[-1] = np.ones(1, dtype=np.uint8)
+    return np_solve(np.concatenate(rows, axis=0), np.concatenate(rhs))
+
+
+def np_step_composite(steps: list[np.ndarray], dims, start: int, count: int) -> np.ndarray:
+    n = len(steps)
+    acc = np.eye(dims[start % n], dtype=np.uint8)
+    for t in range(count):
+        acc = np_matmul(steps[(start + t) % n], acc)
+    return acc
+
+
+def np_hom_space(v, w, shift: int) -> list[list[np.ndarray]]:
+    n = v.resolution
+    v_steps = [as_array(m) for m in v.steps]
+    w_steps = [as_array(m) for m in w.steps]
+    shapes = [(w.dims[(j + shift) % n], v.dims[j]) for j in range(n)]
+    offsets = []
+    total = 0
+    for rows, cols in shapes:
+        offsets.append(total)
+        total += rows * cols
+    n_eq = sum(w.dims[(j + shift + 1) % n] * v.dims[j] for j in range(n))
+    system = np.zeros((n_eq, total), dtype=np.uint8)
+    eq = 0
+    for j in range(n):
+        j_next = (j + 1) % n
+        v_step = v_steps[j]
+        w_step = w_steps[(j + shift) % n]
+        for r in range(w.dims[(j + shift + 1) % n]):
+            for c in range(v.dims[j]):
+                row = system[eq]
+                for k in range(v.dims[j_next]):
+                    if v_step[k, c]:
+                        row[offsets[j_next] + r * v.dims[j_next] + k] ^= 1
+                for k in range(w.dims[(j + shift) % n]):
+                    if w_step[r, k]:
+                        row[offsets[j] + k * v.dims[j] + c] ^= 1
+                eq += 1
+    basis = []
+    for vec in np_nullspace(system):
+        basis.append(
+            [
+                vec[off : off + rows * cols].reshape(rows, cols).copy()
+                for (rows, cols), off in zip(shapes, offsets)
+            ]
+        )
+    return basis
+
+
+def np_feasible_interleaving(v, w, s: int):
+    """(feasible, forward maps, backward maps) by the numpy mask scan."""
+    n = v.resolution
+    basis_a = np_hom_space(v, w, s)
+    basis_b = np_hom_space(w, v, s)
+    d_b = len(basis_b)
+    v_steps = [as_array(m) for m in v.steps]
+    w_steps = [as_array(m) for m in w.steps]
+    target_v = [np_step_composite(v_steps, v.dims, j, 2 * s) for j in range(n)]
+    target_w = [np_step_composite(w_steps, w.dims, j, 2 * s) for j in range(n)]
+    alpha_shapes = [(w.dims[(j + s) % n], v.dims[j]) for j in range(n)]
+    beta_shapes = [(v.dims[(j + s) % n], w.dims[j]) for j in range(n)]
+    beta_stack = []
+    for j in range(n):
+        stacked = np.zeros((d_b, *beta_shapes[j]), dtype=np.uint8)
+        for k in range(d_b):
+            stacked[k] = basis_b[k][j]
+        beta_stack.append(stacked)
+
+    current = [np.zeros(shape, dtype=np.uint8) for shape in alpha_shapes]
+    for mask in range(1 << len(basis_a)):
+        if mask:
+            flipped = mask ^ (mask - 1)
+            k = 0
+            while flipped:
+                if flipped & 1:
+                    for j in range(n):
+                        current[j] ^= basis_a[k][j]
+                flipped >>= 1
+                k += 1
+        t_blocks = []
+        rhs_blocks = []
+        for j in range(n):
+            t = (j + s) % n
+            prod = (beta_stack[t].astype(np.uint32) @ current[j].astype(np.uint32) & 1).astype(np.uint8)
+            t_blocks.append(prod.reshape(d_b, prod.shape[1] * prod.shape[2]).T)
+            rhs_blocks.append(target_v[j].reshape(target_v[j].size))
+            prod = (current[t].astype(np.uint32) @ beta_stack[j].astype(np.uint32) & 1).astype(np.uint8)
+            t_blocks.append(prod.reshape(d_b, prod.shape[1] * prod.shape[2]).T)
+            rhs_blocks.append(target_w[j].reshape(target_w[j].size))
+        t_matrix = np.concatenate(t_blocks, axis=0)
+        rhs = np.concatenate(rhs_blocks)
+        reduced, pivots = np_rref(t_matrix.T)
+        if np_reduce_vector(reduced, pivots, rhs).any():
+            continue
+        coefficients = np_lex_min_solution(t_matrix, rhs)
+        beta = [np.zeros(shape, dtype=np.uint8) for shape in beta_shapes]
+        for k in range(d_b):
+            if coefficients[k]:
+                for j in range(n):
+                    beta[j] ^= basis_b[k][j]
+        return True, [m.copy() for m in current], beta
+    return False, None, None
+
+
+def scan_translate_basis(m, x: Fraction) -> list[tuple[int, int]]:
+    """Fiber labels by scanning a padded window of translates k and testing
+    membership of x + k with `LineInterval.contains`."""
+    labels = []
+    for idx, ival in enumerate(m.intervals):
+        for k in range(math.floor(ival.lo - x) - 1, math.ceil(ival.hi - x) + 2):
+            if LineInterval(ival.lo, ival.hi, ival.lo_kind, ival.hi_kind).contains(x + k):
+                labels.append((idx, k))
+    return labels

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from circlepers import QuotientPoint
+import circlepers
+from circlepers import QuotientPoint, cli
 from circlepers import io as fileio
 from circlepers.cli import main
 
@@ -139,6 +144,11 @@ class TestVerifyIsometry:
         assert records[-1]["violations"] == 0
 
 
+    def test_window_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify-isometry", "--trials", "1", "--window", "3"])
+
+
 class TestTransfer:
     def test_lift_then_project_round_trip(self, tmp_path, capsys):
         a = write(tmp_path, "a.txt", "0.9 1.3\n")
@@ -196,3 +206,41 @@ class TestTransfer:
             )
             == 2
         )
+
+
+class TestExitCodes:
+    def test_unexpected_exception_exits_3(self, tmp_path, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_distance", broken)
+        a = write(tmp_path, "a.txt", "0 0.5\n")
+        assert main(["distance", "bottleneck-q", a, a]) == cli.EXIT_INTERNAL == 3
+        captured = capsys.readouterr()
+        assert captured.err == "internal error: RuntimeError: boom\n"
+        assert captured.out == ""
+
+    def test_runs_without_numpy(self, tmp_path):
+        a = write(tmp_path, "a.txt", "0 0.5\n")
+        b = write(tmp_path, "b.txt", "0.1 0.6\n")
+        script = "\n".join(
+            [
+                "import sys",
+                "sys.modules['numpy'] = None  # any numpy import now raises ImportError",
+                "import circlepers.cli",
+                "codes = [",
+                "    circlepers.cli.main(['verify-isometry', '--trials', '20', '--grid', '8']),",
+                f"    circlepers.cli.main(['distance', 'bottleneck-q', {a!r}, {b!r}]),",
+                "]",
+                "print(codes)",
+            ]
+        )
+        src = str(Path(circlepers.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[0, 0]"
+        assert "violations 0" in proc.stdout

@@ -1,6 +1,8 @@
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from circlepers import (
@@ -22,8 +24,16 @@ from circlepers import (
     max_direct_sum_bound_check,
     structure_map,
     to_grid,
+    translate_basis,
 )
 from generators import random_on_grid_module
+from oracles import (
+    as_array,
+    np_feasible_interleaving,
+    np_matmul,
+    np_step_composite,
+    scan_translate_basis,
+)
 
 F = Fraction
 
@@ -151,14 +161,13 @@ class TestAgainstLiteralProductScan:
     """Reference implementation of the candidate-product scan.
 
     Enumerates both filtered candidate spaces explicitly in ascending bitmask
-    order and tests the triangle identities pair by pair; the library's
+    order and tests the triangle identities pair by pair, in numpy arithmetic
+    on the library's matrices read through `tolist()`; the library's
     collapsed search must return exactly the same first witness.
     """
 
     @staticmethod
     def _candidates(basis, shapes, n):
-        import numpy as np
-
         total = 1 << len(basis)
         for mask in range(total):
             mats = [np.zeros(shape, dtype=np.uint8) for shape in shapes]
@@ -169,30 +178,26 @@ class TestAgainstLiteralProductScan:
             yield mats
 
     def _product_scan(self, v, w, s):
-        import numpy as np
-
-        from circlepers.gf2 import matmul
-        from circlepers.grid import step_composite
         from circlepers.interleaving import _hom_space, _morphism_shapes
 
         n = v.resolution
-        basis_a = _hom_space(v, w, s)
-        basis_b = _hom_space(w, v, s)
-        target_v = [step_composite(v, j, 2 * s) for j in range(n)]
-        target_w = [step_composite(w, j, 2 * s) for j in range(n)]
+        basis_a = [[as_array(m) for m in mats] for mats in _hom_space(v, w, s)]
+        basis_b = [[as_array(m) for m in mats] for mats in _hom_space(w, v, s)]
+        v_steps = [as_array(m) for m in v.steps]
+        w_steps = [as_array(m) for m in w.steps]
+        target_v = [np_step_composite(v_steps, v.dims, j, 2 * s) for j in range(n)]
+        target_w = [np_step_composite(w_steps, w.dims, j, 2 * s) for j in range(n)]
         for alpha in self._candidates(basis_a, _morphism_shapes(v, w, s), n):
             for beta in self._candidates(basis_b, _morphism_shapes(w, v, s), n):
                 if all(
-                    np.array_equal(matmul(beta[(j + s) % n], alpha[j]), target_v[j])
-                    and np.array_equal(matmul(alpha[(j + s) % n], beta[j]), target_w[j])
+                    np.array_equal(np_matmul(beta[(j + s) % n], alpha[j]), target_v[j])
+                    and np.array_equal(np_matmul(alpha[(j + s) % n], beta[j]), target_w[j])
                     for j in range(n)
                 ):
                     return True, alpha, beta
         return False, None, None
 
     def test_same_answer_and_same_first_witness(self):
-        import numpy as np
-
         rng = random.Random(4242)
         checked = 0
         for _ in range(60):
@@ -204,9 +209,44 @@ class TestAgainstLiteralProductScan:
             assert result.feasible == feasible
             if feasible:
                 checked += 1
-                assert all(np.array_equal(a, b) for a, b in zip(result.forward.maps, alpha))
-                assert all(np.array_equal(a, b) for a, b in zip(result.backward.maps, beta))
+                assert all(np.array_equal(as_array(a), b) for a, b in zip(result.forward.maps, alpha))
+                assert all(np.array_equal(as_array(a), b) for a, b in zip(result.backward.maps, beta))
         assert checked >= 10  # the comparison actually exercised witnesses
+
+
+class TestAgainstFrozenNumpyKernel:
+    """The bitset kernel against the numpy kernel it replaced (`oracles`).
+
+    Random endpoint kinds at grids 4, 6 and 8, every shift from 0 to N+1,
+    so both feasible and infeasible scans are compared in full.
+    """
+
+    def test_same_flag_and_same_witnesses(self):
+        rng = random.Random(1789)
+        feasible = 0
+        for trial in range(300):
+            n = (4, 6, 8)[trial % 3]
+            mv = random_on_grid_module(rng, n, 2, random_kinds=True)
+            mw = random_on_grid_module(rng, n, 2, random_kinds=True)
+            v, w = to_grid(mv, n), to_grid(mw, n)
+            for s in range(n + 2):
+                result = feasible_interleaving(v, w, s)
+                flag, forward, backward = np_feasible_interleaving(v, w, s)
+                assert result.feasible == flag, (trial, s)
+                if flag:
+                    feasible += 1
+                    assert [m.tolist() for m in result.forward.maps] == [m.tolist() for m in forward]
+                    assert [m.tolist() for m in result.backward.maps] == [m.tolist() for m in backward]
+        assert feasible >= 1000  # most comparisons include witnesses
+
+    def test_translate_basis_matches_the_translate_scan(self):
+        rng = random.Random(1789)
+        for trial in range(300):
+            n = (4, 6, 8)[trial % 3]
+            m = random_on_grid_module(rng, n, 3, random_kinds=True)
+            for j in range(-n, 2 * n):
+                x = F(j, n)
+                assert translate_basis(m, x) == scan_translate_basis(m, x), (trial, x)
 
 
 class TestBruteforceDistance:
@@ -268,6 +308,23 @@ class TestBruteforceDistance:
             assert abs(grid_value - circle_value) <= F(1, 8)
             # the grid may overshoot by at most one step, never undercut more
             assert grid_value >= circle_value - F(1, 8)
+
+
+    def test_grid_distance_is_the_diagram_distance_rounded_up(self):
+        # on the verify-isometry generator (closed-open intervals on the 1/N
+        # grid) the search lands exactly on the first grid step at or above
+        # the diagram distance, which is sharper than the 1/N bound
+        from circlepers.cli import random_circle_module
+
+        rng = random.Random(8128)
+        for trial in range(300):
+            n = (4, 6, 8, 12)[trial % 4]
+            mv = random_circle_module(rng, n)
+            mw = random_circle_module(rng, n)
+            circle_value = interleaving_distance_circle(mv, mw)
+            grid_value = bruteforce_distance(to_grid(mv, n), to_grid(mw, n))
+            assert grid_value == F(math.ceil(n * circle_value), n), (trial, n)
+            assert abs(grid_value - circle_value) <= F(1, n)
 
 
 class TestWindowGridAgainstClosedForm:

@@ -91,6 +91,14 @@ class TestDiagramFiles:
         with pytest.raises(ParseError):
             fileio.read_plane_diagram("1 2 0\n")
 
+    @pytest.mark.parametrize("value", ["1.7", "true", '"2"'])
+    def test_json_multiplicity_must_be_an_integer(self, value):
+        text = '{"a": "0", "b": "1"}\n{"a": "0", "b": "1", "multiplicity": %s}\n' % value
+        for reader in (fileio.read_plane_diagram, fileio.read_quotient_diagram):
+            with pytest.raises(ParseError) as err:
+                reader(text)
+            assert err.value.line_no == 2
+
     def test_quotient_canonicalizes_by_default(self):
         diagram = fileio.read_quotient_diagram("1.2 1.5\n")
         assert diagram.points == (QuotientPoint(F(2, 10), F(5, 10)),)
