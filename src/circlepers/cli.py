@@ -8,10 +8,10 @@ line goes to stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,38 +21,13 @@ from .intervals import CLOSED, OPEN, CircleInterval, CircleModule, diagram_of, d
 from .interleaving import BudgetExceeded, DEFAULT_BUDGET, bruteforce_distance, interleaving_distance_circle
 from .matching_transfer import invariant_cost, lift_matching, project_matching
 from .metric_plane import bottleneck_plane
-from .metric_quotient import (
-    bottleneck_quotient,
-    matching_cost_quotient,
-    quotient_linf_with_shift,
-)
+from .metric_quotient import bottleneck_quotient, matching_cost_quotient
 from .rationals import format_ratio
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
-
-
-@dataclass
-class RunConfig:
-    """Knobs of the randomized verification harness."""
-
-    seed: int = 0
-    trials: int = 100
-    grid: int = 8
-    budget: int = DEFAULT_BUDGET
-    fmt: str = "text"
-
-    def validate(self) -> None:
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 bits")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if self.grid < 2:
-            raise ValueError("grid resolution must be at least 2")
-        if self.budget < 1:
-            raise ValueError("budget must be positive")
 
 
 def random_circle_module(rng: random.Random, grid: int, max_intervals: int = 3) -> CircleModule:
@@ -94,32 +69,9 @@ def _cmd_dgm(args) -> int:
     return EXIT_OK
 
 
-def _witness_lines(result, quotient_points=None, fmt="text") -> list[str]:
-    lines = []
-    for i, j in sorted(result.witness.pairs):
-        if quotient_points is not None:
-            a_points, b_points = quotient_points
-            _, k = quotient_linf_with_shift(a_points[i], b_points[j])
-            if fmt == "json-lines":
-                lines.append(json.dumps({"pair": [i, j], "shift": -k}))
-            else:
-                lines.append(f"pair {i} {j} {-k}")
-        else:
-            if fmt == "json-lines":
-                lines.append(json.dumps({"pair": [i, j]}))
-            else:
-                lines.append(f"pair {i} {j}")
-    for i in sorted(result.witness.unmatched_a):
-        lines.append(json.dumps({"unmatchedA": i}) if fmt == "json-lines" else f"unmatchedA {i}")
-    for j in sorted(result.witness.unmatched_b):
-        lines.append(json.dumps({"unmatchedB": j}) if fmt == "json-lines" else f"unmatchedB {j}")
-    return lines
-
-
 def _cmd_distance(args) -> int:
     text_a = _read_text(args.diagram_a)
     text_b = _read_text(args.diagram_b)
-    quotient_points = None
     if args.metric == "bottleneck":
         a = fileio.read_plane_diagram(text_a)
         b = fileio.read_plane_diagram(text_b)
@@ -128,52 +80,50 @@ def _cmd_distance(args) -> int:
         a = fileio.read_quotient_diagram(text_a, canonicalize=not args.no_canonicalize)
         b = fileio.read_quotient_diagram(text_b, canonicalize=not args.no_canonicalize)
         result = bottleneck_quotient(a, b)
-        quotient_points = (a.points, b.points)
     else:  # interleave-circle: inputs are interval lists for circle modules
-        va = fileio.read_circle_module(text_a)
-        vb = fileio.read_circle_module(text_b)
-        a = diagram_of(va)
-        b = diagram_of(vb)
+        a = diagram_of(fileio.read_circle_module(text_a))
+        b = diagram_of(fileio.read_circle_module(text_b))
         result = bottleneck_quotient(a, b)
-        quotient_points = (a.points, b.points)
 
-    lines = []
     if args.format == "json-lines":
-        lines.append(json.dumps({"metric": args.metric, "value": format_ratio(result.value)}))
+        out = json.dumps({"metric": args.metric, "value": format_ratio(result.value)}) + "\n"
     else:
-        lines.append(format_ratio(result.value))
-    if args.witness:
-        lines.extend(_witness_lines(result, quotient_points, args.format))
-    sys.stdout.write("\n".join(lines) + "\n")
+        out = format_ratio(result.value) + "\n"
+    if args.witness and args.metric == "bottleneck":
+        out += fileio.write_partial_matching(result.witness, args.format)
+    elif args.witness:
+        # each pair carries its aligning shift, so the witness is an orbit matching
+        out += fileio.write_invariant_matching(lift_matching(a, b, result.witness), args.format)
+    sys.stdout.write(out)
     return EXIT_OK
 
 
 def _cmd_verify_isometry(args) -> int:
-    cfg = RunConfig(
-        seed=args.seed,
-        trials=args.trials,
-        grid=args.grid,
-        budget=args.budget,
-        fmt=args.format,
-    )
-    cfg.validate()
-    rng = random.Random(cfg.seed)
-    bound = Fraction(1, cfg.grid)
+    if not 0 <= args.seed < 2**64:
+        raise ValueError("seed must fit in 64 bits")
+    if args.trials < 1:
+        raise ValueError("trials must be at least 1")
+    if args.grid < 2:
+        raise ValueError("grid resolution must be at least 2")
+    if args.budget < 1:
+        raise ValueError("budget must be positive")
+    rng = random.Random(args.seed)
+    bound = Fraction(1, args.grid)
     worst = Fraction(0)
     violations = 0
     exhausted = 0
     lines = []
-    for trial in range(cfg.trials):
-        module_v = random_circle_module(rng, cfg.grid)
-        module_w = random_circle_module(rng, cfg.grid)
+    for trial in range(args.trials):
+        module_v = random_circle_module(rng, args.grid)
+        module_w = random_circle_module(rng, args.grid)
         circle = interleaving_distance_circle(module_v, module_w)
         try:
             grid_value = bruteforce_distance(
-                to_grid(module_v, cfg.grid), to_grid(module_w, cfg.grid), cfg.budget
+                to_grid(module_v, args.grid), to_grid(module_w, args.grid), args.budget
             )
         except BudgetExceeded:
             exhausted += 1
-            if cfg.fmt == "json-lines":
+            if args.format == "json-lines":
                 lines.append(json.dumps({"trial": trial, "circle": format_ratio(circle), "status": "budget-exhausted"}))
             else:
                 lines.append(f"trial {trial}: circle={format_ratio(circle)} budget-exhausted")
@@ -184,7 +134,7 @@ def _cmd_verify_isometry(args) -> int:
         if gap > bound:
             violations += 1
             status = "violation"
-        if cfg.fmt == "json-lines":
+        if args.format == "json-lines":
             lines.append(
                 json.dumps(
                     {
@@ -201,12 +151,12 @@ def _cmd_verify_isometry(args) -> int:
                 f"trial {trial}: circle={format_ratio(circle)} grid={format_ratio(grid_value)} "
                 f"discrepancy={format_ratio(gap)} {status}"
             )
-    if cfg.fmt == "json-lines":
+    if args.format == "json-lines":
         lines.append(
             json.dumps(
                 {
                     "record": "summary",
-                    "trials": cfg.trials,
+                    "trials": args.trials,
                     "max_discrepancy": format_ratio(worst),
                     "bound": format_ratio(bound),
                     "violations": violations,
@@ -216,7 +166,7 @@ def _cmd_verify_isometry(args) -> int:
         )
     else:
         lines.append(
-            f"max discrepancy {format_ratio(worst)} over {cfg.trials} trials "
+            f"max discrepancy {format_ratio(worst)} over {args.trials} trials "
             f"(bound {format_ratio(bound)}); violations {violations}; budget exhausted {exhausted}"
         )
     sys.stdout.write("\n".join(lines) + "\n")
@@ -245,9 +195,7 @@ def _cmd_transfer(args) -> int:
             "costs_equal": ok,
         }
     else:
-        orbit_matching = fileio.read_invariant_matching(
-            matching_text, diagram_a.points, diagram_b.points, window=args.window
-        )
+        orbit_matching = fileio.read_invariant_matching(matching_text, diagram_a.points, diagram_b.points)
         projected = project_matching(orbit_matching)
         plane_cost = invariant_cost(orbit_matching)
         quotient_cost = matching_cost_quotient(diagram_a, diagram_b, projected)
@@ -268,6 +216,7 @@ def _cmd_transfer(args) -> int:
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
+@functools.cache  # parse_args returns a fresh namespace, so one parser serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="circlepers",
@@ -317,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_transfer.add_argument("--diagram-b", required=True, help="quotient diagram file for side B")
     p_transfer.add_argument("--matching", required=True, help="matching file")
     p_transfer.add_argument("-o", "--output", default=None, help="matching output (default: stdout)")
-    p_transfer.add_argument("--window", type=int, default=3)
     p_transfer.add_argument(
         "--no-canonicalize",
         action="store_true",
@@ -329,8 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     handlers = {
         "dgm": _cmd_dgm,
         "distance": _cmd_distance,

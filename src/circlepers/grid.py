@@ -2,9 +2,8 @@
 
 The circle (circumference 1) is split into N nodes at j/N.  A grid module
 records the fiber dimension at each node, the step matrix from each node to
-the next (mod N) over the two-element field, and which interval translate
-each basis vector came from.  This is the carrier for the brute-force
-interleaving search.
+the next (mod N) over the two-element field.  This is the carrier for the
+brute-force interleaving search.
 """
 
 from __future__ import annotations
@@ -16,31 +15,26 @@ from . import gf2
 from .gf2 import Matrix
 from .intervals import CircleInterval, CircleModule, translate_basis
 
-BasisLabel = tuple[int, int]  # (source interval index, integer translate)
-
 
 @dataclass(frozen=True, eq=False)
 class GridModule:
     resolution: int
     dims: tuple[int, ...]
     steps: tuple[Matrix, ...]
-    basis: tuple[tuple[BasisLabel, ...], ...]
     sources: tuple[CircleInterval, ...]
 
     def __post_init__(self):
         n = self.resolution
         if n < 2:
             raise ValueError("grid resolution must be at least 2")
-        if not (len(self.dims) == len(self.steps) == len(self.basis) == n):
-            raise ValueError("dims, steps and basis must have one entry per node")
+        if not (len(self.dims) == len(self.steps) == n):
+            raise ValueError("dims and steps must have one entry per node")
         for j in range(n):
             expected = (self.dims[(j + 1) % n], self.dims[j])
             if self.steps[j].shape != expected:
                 raise ValueError(
                     f"step matrix at node {j} has shape {self.steps[j].shape}, expected {expected}"
                 )
-            if len(self.basis[j]) != self.dims[j]:
-                raise ValueError(f"basis labels at node {j} do not match the dimension")
 
     def max_source_length(self) -> Fraction:
         if not self.sources:
@@ -85,7 +79,6 @@ def to_grid(m: CircleModule, n: int) -> GridModule:
         resolution=n,
         dims=tuple(len(labels) for labels in node_basis),
         steps=tuple(steps),
-        basis=tuple(tuple(labels) for labels in node_basis),
         sources=m.intervals,
     )
 
@@ -95,18 +88,13 @@ def direct_sum(a: GridModule, b: GridModule) -> GridModule:
     if a.resolution != b.resolution:
         raise ValueError("direct sum requires equal grid resolutions")
     n = a.resolution
-    offset = len(a.sources)
     dims = tuple(a.dims[j] + b.dims[j] for j in range(n))
     steps = []
-    basis = []
     for j in range(n):
         # b's block sits below and to the right of a's
         shifted = tuple(row << a.dims[j] for row in b.steps[j].rows)
         steps.append(Matrix(a.steps[j].rows + shifted, dims[j]))
-        basis.append(
-            tuple(a.basis[j]) + tuple((idx + offset, k) for idx, k in b.basis[j])
-        )
-    return GridModule(n, dims, tuple(steps), tuple(basis), a.sources + b.sources)
+    return GridModule(n, dims, tuple(steps), a.sources + b.sources)
 
 
 def step_composite(g: GridModule, start: int, count: int) -> Matrix:

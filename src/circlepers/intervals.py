@@ -82,9 +82,6 @@ class LineInterval:
             return False
         return True
 
-    def translate(self, k: int) -> "LineInterval":
-        return LineInterval(self.lo + k, self.hi + k, self.lo_kind, self.hi_kind)
-
     def diagram_point(self) -> PlanePoint:
         return PlanePoint(self.lo, self.hi)
 
@@ -124,11 +121,7 @@ class CircleInterval:
         return LineInterval(self.lo + k, self.hi + k, self.lo_kind, self.hi_kind)
 
 
-def _sort_key_line(ival: LineInterval):
-    return (ival.lo, ival.hi, ival.lo_kind.value, ival.hi_kind.value)
-
-
-def _sort_key_circle(ival: CircleInterval):
+def _sort_key(ival: LineInterval | CircleInterval):
     return (ival.lo, ival.hi, ival.lo_kind.value, ival.hi_kind.value)
 
 
@@ -140,7 +133,7 @@ class LineModule:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "intervals", tuple(sorted(self.intervals, key=_sort_key_line))
+            self, "intervals", tuple(sorted(self.intervals, key=_sort_key))
         )
 
 
@@ -152,7 +145,7 @@ class CircleModule:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "intervals", tuple(sorted(self.intervals, key=_sort_key_circle))
+            self, "intervals", tuple(sorted(self.intervals, key=_sort_key))
         )
 
 def _translate_range(ival: CircleInterval, x: Fraction) -> range:

@@ -5,9 +5,10 @@ Diagrams: one `a b [multiplicity]` per line.
 Matchings: `pair i j [k]`, `unmatchedA i`, `unmatchedB j` lines.
 `#` starts a comment anywhere; blank lines are ignored; values are decimal
 rationals or p/q, with `-inf`/`inf` allowed where infinities make sense.
-In interval and diagram files, lines that start with `{` are parsed as
-json-lines records with the same fields, so json output feeds back into the
-same parsers; matching files are plain text only.
+In every file, lines that start with `{` are parsed as json-lines records
+with the same fields (a matching pair is `{"pair": [i, j], "shift": k}`),
+so json output feeds back into the same parsers.  A malformed value is a
+`ParseError` that names its line.
 """
 
 from __future__ import annotations
@@ -212,84 +213,102 @@ def write_quotient_diagram(diagram: QuotientDiagram, fmt: str = "text") -> str:
 # -- matchings ---------------------------------------------------------------
 
 
-def read_quotient_matching(text: str, n_a: int, n_b: int) -> PartialMatching:
-    """Read a quotient matching: `pair i j` lines; unmatched lines optional.
-
-    A trailing shift token (`pair i j k`) is accepted and ignored, so witness
-    files written with alignment shifts feed back in.  Classes not mentioned
-    at all count as unmatched; explicit unmatchedA/B lines are validated
-    against that.
-    """
-    pairs = set()
-    stated_a = set()
-    stated_b = set()
-    for line_no, line in _data_lines(text):
-        parts = line.split()
-        if parts[0] == "pair" and len(parts) in (3, 4):
-            try:
-                pairs.add((int(parts[1]), int(parts[2])))
-            except ValueError as exc:
-                raise ParseError(line_no, f"bad pair indices in {line!r}") from exc
-        elif parts[0] == "unmatchedA" and len(parts) == 2:
-            stated_a.add(int(parts[1]))
-        elif parts[0] == "unmatchedB" and len(parts) == 2:
-            stated_b.add(int(parts[1]))
-        else:
-            raise ParseError(
-                line_no, f"expected `pair i j`, `unmatchedA i`, or `unmatchedB j`, got {line!r}"
-            )
+def _integer(value, line_no: int, from_text: bool) -> int:
+    # json values must be JSON integers, which refuses 1.5, true and "1"
     try:
-        matching = PartialMatching.from_pairs(pairs, n_a, n_b)
+        if from_text or type(value) is int:
+            return int(value)
+    except ValueError:
+        pass
+    raise ParseError(line_no, f"expected an integer, got {value!r}")
+
+
+def _json_matching_fields(record: dict) -> tuple[str | None, list]:
+    if set(record) in ({"pair"}, {"pair", "shift"}):
+        pair = record["pair"]
+        if isinstance(pair, list) and len(pair) == 2:
+            return "pair", pair + ([record["shift"]] if "shift" in record else [])
+    elif len(record) == 1:
+        ((tag, value),) = record.items()
+        return tag, [value]
+    return None, []
+
+
+def _matching_rows(text: str, n_a: int, n_b: int, shift_required: bool) -> list[tuple[int, ...]]:
+    """The pairs (i, j) or (i, j, k) of a matching between n_a and n_b classes.
+
+    Text lines are `pair i j [k]`, `unmatchedA i` and `unmatchedB j`;
+    json-lines records are `{"pair": [i, j], "shift": k}` (shift optional),
+    `{"unmatchedA": i}` and `{"unmatchedB": j}`.  With *shift_required*
+    every pair must carry its shift k.  Classes in no pair are unmatched;
+    the unmatched records are optional but must agree with that.
+    """
+    forms = f"`{'pair i j k' if shift_required else 'pair i j'}`, `unmatchedA i`, or `unmatchedB j`"
+    arity = {"pair": (3,) if shift_required else (2, 3), "unmatchedA": (1,), "unmatchedB": (1,)}
+    pairs: list[tuple[int, ...]] = []
+    stated: dict[str, set[int]] = {"unmatchedA": set(), "unmatchedB": set()}
+    for line_no, line in _data_lines(text):
+        record = _json_record(line, line_no)
+        if record is None:
+            tag, *values = line.split()
+        else:
+            tag, values = _json_matching_fields(record)
+        if len(values) not in arity.get(tag, ()):
+            raise ParseError(line_no, f"expected {forms}, got {line!r}")
+        numbers = tuple(_integer(v, line_no, record is None) for v in values)
+        if tag == "pair":
+            pairs.append(numbers)
+        else:
+            stated[tag].add(numbers[0])
+    free_a = set(range(n_a)) - {p[0] for p in pairs}
+    free_b = set(range(n_b)) - {p[1] for p in pairs}
+    if not stated["unmatchedA"] <= free_a or not stated["unmatchedB"] <= free_b:
+        raise ParseError(0, "an index is declared unmatched but appears in a pair")
+    return pairs
+
+
+def read_quotient_matching(text: str, n_a: int, n_b: int) -> PartialMatching:
+    """Read a quotient matching; a pair's shift is accepted and ignored, so
+    witness files written with alignment shifts feed back in."""
+    pairs = _matching_rows(text, n_a, n_b, shift_required=False)
+    try:
+        return PartialMatching.from_pairs({(i, j) for i, j, *_ in pairs}, n_a, n_b)
     except ValueError as exc:
         raise ParseError(0, str(exc)) from exc
-    if not stated_a <= matching.unmatched_a or not stated_b <= matching.unmatched_b:
-        raise ParseError(0, "an index is declared unmatched but appears in a pair")
-    return matching
 
 
 def read_invariant_matching(
-    text: str,
-    classes_a: tuple[QuotientPoint, ...],
-    classes_b: tuple[QuotientPoint, ...],
-    window: int = 3,
+    text: str, classes_a: tuple[QuotientPoint, ...], classes_b: tuple[QuotientPoint, ...]
 ) -> InvariantMatching:
-    """Read an orbit matching: `pair i j k` lines (k is the relative shift)."""
-    orbit_pairs = set()
-    for line_no, line in _data_lines(text):
-        parts = line.split()
-        if parts[0] == "pair" and len(parts) == 4:
-            try:
-                orbit_pairs.add(OrbitPair(int(parts[1]), int(parts[2]), int(parts[3])))
-            except ValueError as exc:
-                raise ParseError(line_no, f"bad pair indices in {line!r}") from exc
-        elif parts[0] in ("unmatchedA", "unmatchedB") and len(parts) == 2:
-            continue  # informative only; anything unpaired is unmatched
-        else:
-            raise ParseError(
-                line_no,
-                f"expected `pair i j k`, `unmatchedA i`, or `unmatchedB j`, got {line!r}",
-            )
+    """Read an orbit matching: every pair `i j k` carries its relative shift k."""
+    pairs = _matching_rows(text, len(classes_a), len(classes_b), shift_required=True)
     try:
-        return InvariantMatching(classes_a, classes_b, frozenset(orbit_pairs), window=window)
+        return InvariantMatching(classes_a, classes_b, frozenset(OrbitPair(*p) for p in pairs))
     except ValueError as exc:
         raise ParseError(0, str(exc)) from exc
 
 
-def write_partial_matching(matching: PartialMatching, shifts: dict[tuple[int, int], int] | None = None) -> str:
-    """Write a matching; with *shifts* the pairs carry the aligning shift k."""
+def _write_matching(pairs, unmatched_a, unmatched_b, fmt: str) -> str:
+    """Write sorted (i, j) or (i, j, k) pairs, then the unmatched indices."""
     lines = []
-    for i, j in sorted(matching.pairs):
-        if shifts is not None:
-            lines.append(f"pair {i} {j} {shifts[(i, j)]}")
+    for i, j, *shift in pairs:
+        if fmt == "json-lines":
+            record = {"pair": [i, j]}
+            if shift:
+                record["shift"] = shift[0]
+            lines.append(json.dumps(record))
         else:
-            lines.append(f"pair {i} {j}")
-    lines.extend(f"unmatchedA {i}" for i in sorted(matching.unmatched_a))
-    lines.extend(f"unmatchedB {j}" for j in sorted(matching.unmatched_b))
+            lines.append(" ".join(map(str, ("pair", i, j, *shift))))
+    for tag, indices in (("unmatchedA", unmatched_a), ("unmatchedB", unmatched_b)):
+        for index in sorted(indices):
+            lines.append(json.dumps({tag: index}) if fmt == "json-lines" else f"{tag} {index}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def write_invariant_matching(m: InvariantMatching) -> str:
-    lines = [f"pair {op.a} {op.b} {op.shift}" for op in sorted(m.orbit_pairs, key=lambda p: (p.a, p.b))]
-    lines.extend(f"unmatchedA {i}" for i in sorted(m.unmatched_a()))
-    lines.extend(f"unmatchedB {j}" for j in sorted(m.unmatched_b()))
-    return "\n".join(lines) + ("\n" if lines else "")
+def write_partial_matching(matching: PartialMatching, fmt: str = "text") -> str:
+    return _write_matching(sorted(matching.pairs), matching.unmatched_a, matching.unmatched_b, fmt)
+
+
+def write_invariant_matching(m: InvariantMatching, fmt: str = "text") -> str:
+    pairs = sorted((op.a, op.b, op.shift) for op in m.orbit_pairs)
+    return _write_matching(pairs, m.unmatched_a(), m.unmatched_b(), fmt)

@@ -4,8 +4,8 @@ A matching between two shift-invariant families of plane points is stored by
 orbits: full-orbit pairs (every translate of one class matched to the
 correspondingly shifted translate of another, at a fixed relative shift) plus
 finitely many explicit window pairs for classes that are only partially
-matched.  Projection to a quotient matching follows the alternating
-partner-chain construction; lifting a quotient matching picks the aligning
+matched.  Projection to a quotient matching keeps the orbit pairs, the only
+classes matched in full; lifting a quotient matching picks the aligning
 shift for every pair and preserves the cost exactly.
 """
 
@@ -20,7 +20,7 @@ from .metric_quotient import (
     QuotientPoint,
     quotient_linf_with_shift,
 )
-from .rationals import Ext, is_finite
+from .rationals import Ext
 
 
 @dataclass(frozen=True)
@@ -105,26 +105,13 @@ class InvariantMatching:
     def fully_matched_b(self) -> set[int]:
         return {p.b for p in self.orbit_pairs}
 
-    def partial_residues_a(self) -> dict[int, frozenset[int]]:
-        """Matched residues of each partially matched A class."""
-        out: dict[int, set[int]] = {}
-        for wp in self.window_pairs:
-            out.setdefault(wp.a, set()).add(wp.a_residue)
-        return {i: frozenset(s) for i, s in out.items()}
-
-    def partial_residues_b(self) -> dict[int, frozenset[int]]:
-        out: dict[int, set[int]] = {}
-        for wp in self.window_pairs:
-            out.setdefault(wp.b, set()).add(wp.b_residue)
-        return {j: frozenset(s) for j, s in out.items()}
-
     def unmatched_a(self) -> set[int]:
         """Classes with no matched representative at all."""
-        touched = self.fully_matched_a() | set(self.partial_residues_a())
+        touched = self.fully_matched_a() | {wp.a for wp in self.window_pairs}
         return set(range(len(self.classes_a))) - touched
 
     def unmatched_b(self) -> set[int]:
-        touched = self.fully_matched_b() | set(self.partial_residues_b())
+        touched = self.fully_matched_b() | {wp.b for wp in self.window_pairs}
         return set(range(len(self.classes_b))) - touched
 
 
@@ -158,106 +145,17 @@ def invariant_cost(m: InvariantMatching) -> Ext:
     return max(costs)
 
 
-def _distinct_partner_assignment(
-    nodes: list[int], neighbour_sets: dict[int, set[int]]
-) -> dict[int, int]:
-    """Injective choice of one partner class per node (augmenting paths).
-
-    Exists whenever the matching has finite cost; failure means the input
-    was not a valid finite-cost orbit matching.
-    """
-    assignment: dict[int, int] = {}
-    owner: dict[int, int] = {}
-
-    def augment(node: int, seen: set[int]) -> bool:
-        for partner in sorted(neighbour_sets[node]):
-            if partner in seen:
-                continue
-            seen.add(partner)
-            if partner not in owner or augment(owner[partner], seen):
-                owner[partner] = node
-                assignment[node] = partner
-                return True
-        return False
-
-    for node in nodes:
-        if not augment(node, set()):
-            raise ValueError(
-                "no injective partner assignment exists; the matching cannot have finite cost"
-            )
-    return assignment
-
-
-def _walk_chains(
-    full_a: set[int],
-    full_b: set[int],
-    partner_of_full_a: dict[int, int],
-    partner_of_full_b: dict[int, int],
-) -> list[tuple[int, int]]:
-    """Assemble the projected pairs from the alternating partner chains.
-
-    Chains start at fully matched A classes that are nobody's chosen partner,
-    alternate between the two partner maps, and stop on reaching a class that
-    is not fully matched.  Untouched fully matched B classes close out with
-    their own partner.  Each class is consumed at most once; a revisit would
-    contradict injectivity of the partner maps and raises.
-    """
-    pairs: list[tuple[int, int]] = []
-    visited_a: set[int] = set()
-    visited_b: set[int] = set()
-    chosen_a = set(partner_of_full_b.values())
-
-    for start in sorted(a for a in full_a if a not in chosen_a):
-        a = start
-        while True:
-            if a in visited_a:
-                raise RuntimeError("alternating chain revisited a class")
-            visited_a.add(a)
-            b = partner_of_full_a[a]
-            if b in visited_b:
-                raise RuntimeError("alternating chain revisited a class")
-            visited_b.add(b)
-            pairs.append((a, b))
-            if b not in partner_of_full_b:
-                break  # partner class has unmatched points: chain ends
-            a = partner_of_full_b[b]
-            if a not in partner_of_full_a:
-                break  # next class has unmatched points: chain ends
-    for b in sorted(full_b):
-        if b not in visited_b:
-            pairs.append((partner_of_full_b[b], b))
-    return pairs
-
-
 def project_matching(m: InvariantMatching) -> PartialMatching:
     """Project an orbit matching to a quotient matching of no greater cost.
 
-    The result pairs only classes connected by an actual matched plane pair,
-    and leaves a class unmatched only if some representative of it is
-    unmatched in the plane; those two facts bound its cost by the plane cost.
+    The projection pairs the classes of every orbit pair.  Orbit pairs are
+    injective on both sides and window pairs never touch an orbit class, so
+    a fully matched class has exactly one partner class, its orbit partner.
+    Every other class has an unmatched representative and stays unmatched.
+    A projected pair costs at most its plane pair and an unmatched class pays
+    what its unmatched representatives pay, so the cost cannot grow.
     """
-    cost = invariant_cost(m)
-    if not is_finite(cost):
-        raise ValueError("cannot project a matching of infinite cost")
-
-    full_a = m.fully_matched_a()
-    full_b = m.fully_matched_b()
-    partners_a: dict[int, set[int]] = {i: set() for i in full_a}
-    partners_b: dict[int, set[int]] = {j: set() for j in full_b}
-    for op in m.orbit_pairs:
-        if op.a in partners_a:
-            partners_a[op.a].add(op.b)
-        if op.b in partners_b:
-            partners_b[op.b].add(op.a)
-    for wp in m.window_pairs:
-        if wp.a in partners_a:
-            partners_a[wp.a].add(wp.b)
-        if wp.b in partners_b:
-            partners_b[wp.b].add(wp.a)
-
-    partner_of_full_a = _distinct_partner_assignment(sorted(full_a), partners_a)
-    partner_of_full_b = _distinct_partner_assignment(sorted(full_b), partners_b)
-    pairs = _walk_chains(full_a, full_b, partner_of_full_a, partner_of_full_b)
+    pairs = {(op.a, op.b) for op in m.orbit_pairs}
     return PartialMatching.from_pairs(pairs, len(m.classes_a), len(m.classes_b))
 
 

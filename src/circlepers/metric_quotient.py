@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .metric_plane import BottleneckResult, PartialMatching, PlanePoint, solve_bottleneck
+from .metric_plane import BottleneckResult, Diagram, PartialMatching, PlanePoint, solve_bottleneck
 from .rationals import as_fraction
 
 
@@ -45,18 +45,11 @@ class QuotientPoint:
         return PlanePoint(self.a + n, self.b + n)
 
 
-def _point_key(p: QuotientPoint):
-    return (p.a, p.b)
-
-
 @dataclass(frozen=True)
-class QuotientDiagram:
+class QuotientDiagram(Diagram):
     """Finite multiset of quotient points, stored in sorted order."""
 
     points: tuple[QuotientPoint, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(sorted(self.points, key=_point_key)))
 
 
 def quotient_linf_with_shift(p: QuotientPoint, q: QuotientPoint) -> tuple[Fraction, int]:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import circlepers
-from circlepers import QuotientPoint, cli
+from circlepers import QuotientPoint, bottleneck_plane, cli
 from circlepers import io as fileio
 from circlepers.cli import main
 
@@ -144,9 +144,14 @@ class TestVerifyIsometry:
         assert records[-1]["violations"] == 0
 
 
-    def test_window_flag_is_gone(self, capsys):
+    def test_window_flag_is_gone(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
             main(["verify-isometry", "--trials", "1", "--window", "3"])
+        a = write(tmp_path, "a.txt", "0 0.5\n")
+        m = write(tmp_path, "m.txt", "pair 0 0 0\n")
+        with pytest.raises(SystemExit):
+            main(["transfer", "project", "--diagram-a", a, "--diagram-b", a, "--matching", m,
+                  "--window", "3"])
 
 
 class TestTransfer:
@@ -196,6 +201,28 @@ class TestTransfer:
         assert captured.out == "pair 0 0\n"
         assert "cost_not_increased True" in captured.err
 
+    @pytest.mark.parametrize("fmt", ["text", "json-lines"])
+    def test_quotient_witness_feeds_project(self, tmp_path, capsys, fmt):
+        a = write(tmp_path, "a.txt", "0 0.5\n0.2 1.4\n0.9 1.3\n")
+        b = write(tmp_path, "b.txt", "0.1 0.6\n0 0.4\n")
+        assert main(["distance", "bottleneck-q", a, b, "--witness", "--format", fmt]) == 0
+        _, *witness = capsys.readouterr().out.splitlines(keepends=True)
+        matching = write(tmp_path, "w.txt", "".join(witness))
+        argv = ["transfer", "project", "--diagram-a", a, "--diagram-b", b, "--matching", matching]
+        assert main(argv) == 0
+        projected = capsys.readouterr().out
+        expected = fileio.read_quotient_matching("".join(witness), 3, 2)
+        assert fileio.read_quotient_matching(projected, 3, 2) == expected
+
+    def test_plane_json_witness_reads_back(self, tmp_path, capsys):
+        a = write(tmp_path, "a.txt", "1 3\n2 6\n-inf 4\n")
+        b = write(tmp_path, "b.txt", "1.2 3.1\n-inf 3.5\n")
+        assert main(["distance", "bottleneck", a, b, "--witness", "--format", "json-lines"]) == 0
+        _, *witness = capsys.readouterr().out.splitlines(keepends=True)
+        result = bottleneck_plane(fileio.read_plane_diagram(Path(a).read_text()),
+                                  fileio.read_plane_diagram(Path(b).read_text()))
+        assert fileio.read_quotient_matching("".join(witness), 3, 2) == result.witness
+
     def test_invalid_matching_exits_2(self, tmp_path, capsys):
         a = write(tmp_path, "a.txt", "0.9 1.3\n")
         b = write(tmp_path, "b.txt", "0 0.4\n")
@@ -206,6 +233,15 @@ class TestTransfer:
             )
             == 2
         )
+
+
+class TestParser:
+    def test_one_parser_and_no_attributes_carried_over(self):
+        parser = cli.build_parser()
+        assert cli.build_parser() is parser
+        first = parser.parse_args(["distance", "bottleneck", "a", "b", "--witness"])
+        second = parser.parse_args(["dgm", "line", "x"])
+        assert first.witness and not hasattr(second, "witness")
 
 
 class TestExitCodes:

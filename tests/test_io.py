@@ -8,6 +8,7 @@ from circlepers import (
     CircleInterval,
     CircleModule,
     Diagram,
+    InvariantMatching,
     LineInterval,
     LineModule,
     OrbitPair,
@@ -133,9 +134,11 @@ class TestDiagramFiles:
 
 class TestMatchingFiles:
     def test_quotient_matching_round_trip(self):
-        matching = PartialMatching.from_pairs({(0, 1), (2, 0)}, 3, 2)
-        text = fileio.write_partial_matching(matching)
-        assert fileio.read_quotient_matching(text, 3, 2) == matching
+        matching = PartialMatching.from_pairs({(0, 1), (2, 0)}, 4, 3)
+        for fmt in ("text", "json-lines"):
+            text = fileio.write_partial_matching(matching, fmt)
+            assert text.startswith("{") == (fmt == "json-lines")
+            assert fileio.read_quotient_matching(text, 4, 3) == matching
 
     def test_quotient_matching_ignores_alignment_shifts(self):
         matching = fileio.read_quotient_matching("pair 0 1 -2\n", 1, 2)
@@ -148,10 +151,41 @@ class TestMatchingFiles:
     def test_invariant_matching_round_trip(self):
         classes_a = (QuotientPoint(F(0), F(1, 2)), QuotientPoint(F(1, 4), F(3, 4)))
         classes_b = (QuotientPoint(F(1, 8), F(5, 8)),)
-        text = "pair 1 0 -1\nunmatchedA 0\n"
-        m = fileio.read_invariant_matching(text, classes_a, classes_b)
-        assert m.orbit_pairs == frozenset({OrbitPair(1, 0, -1)})
-        assert fileio.write_invariant_matching(m) == text
+        for fmt, text in (
+            ("text", "pair 1 0 -1\nunmatchedA 0\n"),
+            ("json-lines", '{"pair": [1, 0], "shift": -1}\n{"unmatchedA": 0}\n'),
+        ):
+            m = fileio.read_invariant_matching(text, classes_a, classes_b)
+            assert m == InvariantMatching(classes_a, classes_b, frozenset({OrbitPair(1, 0, -1)}))
+            assert fileio.write_invariant_matching(m, fmt) == text
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "unmatchedA x",
+            "unmatchedB y",
+            "pair 0 z",
+            '{"pair": [0, "1"]}',
+            '{"pair": [0, 1], "shift": 1.5}',
+            '{"pair": [0, true]}',
+        ],
+    )
+    def test_malformed_token_names_its_line(self, line):
+        classes = (QuotientPoint(F(0), F(1, 2)), QuotientPoint(F(1, 4), F(3, 4)))
+        text = "pair 1 1 0\n" + line + "\n"
+        readers = [
+            lambda: fileio.read_quotient_matching(text, 2, 2),
+            lambda: fileio.read_invariant_matching(text, classes, classes),
+        ]
+        for read in readers:
+            with pytest.raises(ParseError) as err:
+                read()
+            assert err.value.line_no == 2
+
+    def test_orbit_file_checks_declared_unmatched_classes(self):
+        classes = (QuotientPoint(F(0), F(1, 2)),)
+        with pytest.raises(ParseError):
+            fileio.read_invariant_matching("pair 0 0 1\nunmatchedB 0\n", classes, classes)
 
     def test_duplicate_orbit_index_rejected(self):
         classes = (QuotientPoint(F(0), F(1, 2)),)

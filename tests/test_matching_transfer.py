@@ -18,7 +18,6 @@ from circlepers import (
     matching_cost_quotient,
     project_matching,
 )
-from circlepers.matching_transfer import _walk_chains
 from generators import (
     random_invariant_matching,
     random_partial_matching,
@@ -67,7 +66,6 @@ class TestInvariantMatchingValidation:
             frozenset({WindowPair(1, 0, 1, 1)}),
         )
         assert m.fully_matched_a() == {0}
-        assert m.partial_residues_a() == {1: frozenset({0})}
         assert m.unmatched_a() == {2}
         assert m.unmatched_b() == set()
 
@@ -99,26 +97,6 @@ class TestInvariantCost:
         # the single matched representative costs 0, but infinitely many
         # translates stay unmatched and each pays half the persistence
         assert invariant_cost(m) == F(1, 2)
-
-
-class TestChainWalk:
-    def test_chain_ending_at_a_not_fully_matched_b_class(self):
-        pairs = _walk_chains({0, 1}, {10}, {0: 10, 1: 11}, {10: 1})
-        assert pairs == [(0, 10), (1, 11)]
-
-    def test_chain_ending_at_a_not_fully_matched_a_class(self):
-        pairs = _walk_chains({0, 1}, {5, 6}, {0: 5, 1: 6}, {5: 1, 6: 3})
-        assert pairs == [(0, 5), (1, 6)]
-
-    def test_untouched_full_b_classes_close_with_their_partner(self):
-        pairs = _walk_chains({0}, {5, 6}, {0: 6}, {5: 2, 6: 0})
-        assert sorted(pairs) == [(0, 6), (2, 5)]
-
-    def test_revisit_raises(self):
-        # non-injective partner data cannot come from a valid matching; the
-        # walker refuses instead of looping
-        with pytest.raises(RuntimeError):
-            _walk_chains({0, 1}, {5}, {0: 5, 1: 5}, {5: 0})
 
 
 class TestProjectMatching:
@@ -153,6 +131,7 @@ class TestProjectMatching:
             m = random_invariant_matching(rng)
             projected = project_matching(m)
             projected.validate_for(len(m.classes_a), len(m.classes_b))
+            assert projected.pairs == {(op.a, op.b) for op in m.orbit_pairs}
             plane_cost = invariant_cost(m)
             orbit_partners = {(p.a, p.b) for p in m.orbit_pairs}
             window_partners = {(wp.a, wp.b) for wp in m.window_pairs}
