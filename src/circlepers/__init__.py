@@ -42,7 +42,6 @@ from .io import ParseError
 from .matching_transfer import (
     InvariantMatching,
     OrbitPair,
-    WindowPair,
     invariant_cost,
     lift_matching,
     project_matching,
@@ -95,7 +94,6 @@ __all__ = [
     "PlanePoint",
     "QuotientDiagram",
     "QuotientPoint",
-    "WindowPair",
     "bottleneck_plane",
     "bottleneck_quotient",
     "bruteforce_distance",

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import gf2
 from .gf2 import Matrix
-from .intervals import CircleInterval, CircleModule, translate_basis
+from .intervals import CircleModule, translate_basis
 
 
 @dataclass(frozen=True, eq=False)
@@ -21,7 +21,6 @@ class GridModule:
     resolution: int
     dims: tuple[int, ...]
     steps: tuple[Matrix, ...]
-    sources: tuple[CircleInterval, ...]
 
     def __post_init__(self):
         n = self.resolution
@@ -35,11 +34,6 @@ class GridModule:
                 raise ValueError(
                     f"step matrix at node {j} has shape {self.steps[j].shape}, expected {expected}"
                 )
-
-    def max_source_length(self) -> Fraction:
-        if not self.sources:
-            return Fraction(0)
-        return max(ival.length for ival in self.sources)
 
 
 def to_grid(m: CircleModule, n: int) -> GridModule:
@@ -79,7 +73,6 @@ def to_grid(m: CircleModule, n: int) -> GridModule:
         resolution=n,
         dims=tuple(len(labels) for labels in node_basis),
         steps=tuple(steps),
-        sources=m.intervals,
     )
 
 
@@ -94,7 +87,7 @@ def direct_sum(a: GridModule, b: GridModule) -> GridModule:
         # b's block sits below and to the right of a's
         shifted = tuple(row << a.dims[j] for row in b.steps[j].rows)
         steps.append(Matrix(a.steps[j].rows + shifted, dims[j]))
-    return GridModule(n, dims, tuple(steps), a.sources + b.sources)
+    return GridModule(n, dims, tuple(steps))
 
 
 def step_composite(g: GridModule, start: int, count: int) -> Matrix:

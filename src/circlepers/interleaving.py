@@ -10,7 +10,6 @@ the other two.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -275,14 +274,17 @@ def bruteforce_distance(v: GridModule, w: GridModule, budget: int = DEFAULT_BUDG
     """Smallest s/N admitting an interleaving, by scanning s upward.
 
     Feasibility is monotone in s (compose with an internal one-step shift),
-    so the first feasible s is the minimum.  A safety bound well past the
-    worst possible answer guards against inconsistent grid data.
+    so the first feasible s is the minimum.  The scan stops at the total
+    fiber dimension: step maps send basis labels to basis labels or zero,
+    so a nonzero c-step composite keeps one label alive at c + 1 distinct
+    (node, translate) labels and c is below the total dimension.  Every 2s
+    composite vanishes once 2s reaches it, and then the zero pair
+    interleaves; running past the bound means the grid data is inconsistent.
     """
     if v.resolution != w.resolution:
         raise ValueError("grid modules must share a resolution")
     n = v.resolution
-    longest = max(v.max_source_length(), w.max_source_length())
-    limit = math.ceil(n * (1 + longest))
+    limit = max(sum(v.dims), sum(w.dims))
     for s in range(limit + 1):
         if feasible_interleaving(v, w, s, budget).feasible:
             return Fraction(s, n)

@@ -181,10 +181,9 @@ def read_quotient_diagram(text: str, canonicalize: bool = True) -> QuotientDiagr
 
 
 def _write_points(points, fmt: str) -> str:
-    counted = Counter(points)
+    # the points are sorted, and a Counter keeps first-seen order
     lines = []
-    for point in sorted(counted, key=lambda p: (p.a, p.b)):
-        multiplicity = counted[point]
+    for point, multiplicity in Counter(points).items():
         if fmt == "json-lines":
             lines.append(
                 json.dumps(
@@ -241,12 +240,16 @@ def _matching_rows(text: str, n_a: int, n_b: int, shift_required: bool) -> list[
     json-lines records are `{"pair": [i, j], "shift": k}` (shift optional),
     `{"unmatchedA": i}` and `{"unmatchedB": j}`.  With *shift_required*
     every pair must carry its shift k.  Classes in no pair are unmatched;
-    the unmatched records are optional but must agree with that.
+    the unmatched records are optional.  Every index must be in range and
+    appear at most once per side, in a pair or an unmatched record, so the
+    rows always form a valid matching; a violation names its line.
     """
     forms = f"`{'pair i j k' if shift_required else 'pair i j'}`, `unmatchedA i`, or `unmatchedB j`"
     arity = {"pair": (3,) if shift_required else (2, 3), "unmatchedA": (1,), "unmatchedB": (1,)}
+    sides = {"pair": "AB", "unmatchedA": "A", "unmatchedB": "B"}
+    sizes = {"A": n_a, "B": n_b}
+    first_line: dict[tuple[str, int], int] = {}  # (side, index) -> the line that used it
     pairs: list[tuple[int, ...]] = []
-    stated: dict[str, set[int]] = {"unmatchedA": set(), "unmatchedB": set()}
     for line_no, line in _data_lines(text):
         record = _json_record(line, line_no)
         if record is None:
@@ -256,14 +259,17 @@ def _matching_rows(text: str, n_a: int, n_b: int, shift_required: bool) -> list[
         if len(values) not in arity.get(tag, ()):
             raise ParseError(line_no, f"expected {forms}, got {line!r}")
         numbers = tuple(_integer(v, line_no, record is None) for v in values)
+        for side, index in zip(sides[tag], numbers):
+            where = f"{side} index {index}"
+            if not 0 <= index < sizes[side]:
+                raise ParseError(
+                    line_no, f"{where} out of range (diagram {side} has {sizes[side]} points)"
+                )
+            if (side, index) in first_line:
+                raise ParseError(line_no, f"{where} already used on line {first_line[side, index]}")
+            first_line[side, index] = line_no
         if tag == "pair":
             pairs.append(numbers)
-        else:
-            stated[tag].add(numbers[0])
-    free_a = set(range(n_a)) - {p[0] for p in pairs}
-    free_b = set(range(n_b)) - {p[1] for p in pairs}
-    if not stated["unmatchedA"] <= free_a or not stated["unmatchedB"] <= free_b:
-        raise ParseError(0, "an index is declared unmatched but appears in a pair")
     return pairs
 
 
@@ -271,10 +277,7 @@ def read_quotient_matching(text: str, n_a: int, n_b: int) -> PartialMatching:
     """Read a quotient matching; a pair's shift is accepted and ignored, so
     witness files written with alignment shifts feed back in."""
     pairs = _matching_rows(text, n_a, n_b, shift_required=False)
-    try:
-        return PartialMatching.from_pairs({(i, j) for i, j, *_ in pairs}, n_a, n_b)
-    except ValueError as exc:
-        raise ParseError(0, str(exc)) from exc
+    return PartialMatching.from_pairs({(i, j) for i, j, *_ in pairs}, n_a, n_b)
 
 
 def read_invariant_matching(
@@ -282,10 +285,7 @@ def read_invariant_matching(
 ) -> InvariantMatching:
     """Read an orbit matching: every pair `i j k` carries its relative shift k."""
     pairs = _matching_rows(text, len(classes_a), len(classes_b), shift_required=True)
-    try:
-        return InvariantMatching(classes_a, classes_b, frozenset(OrbitPair(*p) for p in pairs))
-    except ValueError as exc:
-        raise ParseError(0, str(exc)) from exc
+    return InvariantMatching(classes_a, classes_b, frozenset(OrbitPair(*p) for p in pairs))
 
 
 def _write_matching(pairs, unmatched_a, unmatched_b, fmt: str) -> str:

@@ -126,22 +126,33 @@ def _perfect_matching(n_left: int, n_right: int, adjacency: list[list[int]]) -> 
     """Kuhn's augmenting-path matching; returns right->left or None if not perfect.
 
     Deterministic: left vertices are processed in index order and adjacency
-    lists are tried in the given order.
+    lists are tried in the given order, depth first.  The search keeps an
+    explicit stack, so long augmenting paths need no recursion.
     """
     match_right = [-1] * n_right
-
-    def augment(u: int, seen: list[bool]) -> bool:
-        for v in adjacency[u]:
-            if seen[v]:
+    for root in range(n_left):
+        seen = [False] * n_right
+        # stack[d] is a left vertex with its remaining edges; through[d] is
+        # the right vertex by which stack[d] reached stack[d + 1]
+        stack = [(root, iter(adjacency[root]))]
+        through: list[int] = []
+        while stack:
+            for v in stack[-1][1]:
+                if not seen[v]:
+                    break
+            else:
+                stack.pop()
+                if through:
+                    through.pop()
                 continue
             seen[v] = True
-            if match_right[v] == -1 or augment(match_right[v], seen):
-                match_right[v] = u
-                return True
-        return False
-
-    for u in range(n_left):
-        if not augment(u, [False] * n_right):
+            through.append(v)
+            if match_right[v] == -1:
+                for (u, _), w in zip(stack, through):
+                    match_right[w] = u
+                break
+            stack.append((match_right[v], iter(adjacency[match_right[v]])))
+        else:
             return None
     return match_right
 

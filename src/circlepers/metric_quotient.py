@@ -3,7 +3,7 @@
 Two plane points are identified when they differ by (k, k) for an integer k.
 Classes are stored canonically with the first coordinate in [0, 1); the
 induced distance between classes is the minimum sup-distance over aligning
-shifts, which has a two-candidate closed form.
+shifts, which has a closed form.
 """
 
 from __future__ import annotations
@@ -56,24 +56,20 @@ def quotient_linf_with_shift(p: QuotientPoint, q: QuotientPoint) -> tuple[Fracti
     """Distance between classes plus the aligning shift.
 
     Minimises max(|u+k|, |v+k|) over integers k, where u and v are the
-    coordinate differences of the canonical representatives; the real optimum
-    sits at -(u+v)/2, so only its floor and ceiling need testing.  The
-    returned k shifts the *first* argument's representative onto the
-    minimising pair: the value equals linf(p.representative(k),
-    q.representative()).
+    coordinate differences of the canonical representatives.  That maximum
+    is |k - c| + |u - v|/2 with c = -(u+v)/2, so the optimum is the integer
+    nearest to c, ties going to the smaller one.  The returned k shifts the
+    *first* argument's representative onto the minimising pair: the value
+    equals linf(p.representative(k), q.representative()).
     """
     u = p.a - q.a
     v = p.b - q.b
-    centre = -(u + v) / 2
-    best_value: Fraction | None = None
-    best_shift = 0
-    for k in {math.floor(centre), math.ceil(centre)}:
-        value = max(abs(u + k), abs(v + k))
-        if best_value is None or value < best_value or (value == best_value and k < best_shift):
-            best_value = value
-            best_shift = k
-    assert best_value is not None
-    return best_value, best_shift
+    # on integers: u = x/den and v = y/den, so c = -(x+y)/(2 den)
+    den = u.denominator * v.denominator
+    x = u.numerator * v.denominator
+    y = v.numerator * u.denominator
+    k = -((x + y + den) // (2 * den))  # ceil(c - 1/2)
+    return Fraction(abs(2 * k * den + x + y) + abs(x - y), 2 * den), k
 
 
 def quotient_linf(p: QuotientPoint, q: QuotientPoint) -> Fraction:

@@ -17,7 +17,6 @@ from circlepers import (
     PlanePoint,
     QuotientDiagram,
     QuotientPoint,
-    WindowPair,
     INF,
     NEG_INF,
 )
@@ -77,10 +76,8 @@ def random_invariant_matching(
     classes_a: tuple[QuotientPoint, ...] | None = None,
     classes_b: tuple[QuotientPoint, ...] | None = None,
     max_classes: int = 4,
-    window: int = 3,
 ) -> InvariantMatching:
-    """Random orbit matching: some full-orbit pairs, some window pairs on the
-    remaining (hence partially matched) classes, the rest fully unmatched."""
+    """Random orbit matching: some full-orbit pairs, the other classes unmatched."""
     if classes_a is None:
         classes_a = tuple(random_quotient_point(rng) for _ in range(rng.randint(0, max_classes)))
     if classes_b is None:
@@ -92,24 +89,4 @@ def random_invariant_matching(
     orbit_pairs = set()
     for _ in range(rng.randint(0, min(len(a_free), len(b_free)))):
         orbit_pairs.add(OrbitPair(a_free.pop(), b_free.pop(), rng.randint(-2, 2)))
-    window_pairs = set()
-    used_a: set[tuple[int, int]] = set()
-    used_b: set[tuple[int, int]] = set()
-    if a_free and b_free:
-        for _ in range(rng.randint(0, 4)):
-            candidate = WindowPair(
-                rng.choice(a_free),
-                rng.randint(-window, window),
-                rng.choice(b_free),
-                rng.randint(-window, window),
-            )
-            if (candidate.a, candidate.a_residue) in used_a:
-                continue
-            if (candidate.b, candidate.b_residue) in used_b:
-                continue
-            used_a.add((candidate.a, candidate.a_residue))
-            used_b.add((candidate.b, candidate.b_residue))
-            window_pairs.add(candidate)
-    return InvariantMatching(
-        classes_a, classes_b, frozenset(orbit_pairs), frozenset(window_pairs), window
-    )
+    return InvariantMatching(classes_a, classes_b, frozenset(orbit_pairs))

@@ -187,7 +187,7 @@ def test_criterion_5_matching_transfer_constructions():
         except ValueError:
             failures.append(("project-valid", trial))
             continue
-        backing = {(p.a, p.b) for p in m.orbit_pairs} | {(wp.a, wp.b) for wp in m.window_pairs}
+        backing = {(p.a, p.b) for p in m.orbit_pairs}
         cost = F(0)
         for i, j in projected.pairs:
             if (i, j) not in backing:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from circlepers import (
 )
 from circlepers import io as fileio
 from circlepers.rationals import format_number
+from generators import random_invariant_matching
 
 F = Fraction
 
@@ -192,3 +194,43 @@ class TestMatchingFiles:
         both = (QuotientPoint(F(0), F(1, 2)), QuotientPoint(F(1, 4), F(3, 4)))
         with pytest.raises(ParseError):
             fileio.read_invariant_matching("pair 0 0 0\npair 0 1 0\n", classes, both)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "pair 0 0 0\npair 1 5 0\n",  # pair index out of range
+            "pair 0 0 0\npair -1 1 0\n",
+            "pair 0 0 0\nunmatchedA 2\n",  # unmatched index out of range
+            '{"pair": [0, 0], "shift": 0}\n{"unmatchedB": 9}\n',
+            "pair 0 0 0\npair 1 0 0\n",  # repeated index
+            "pair 0 0 0\nunmatchedA 0\n",
+            "unmatchedB 1\nunmatchedB 1\n",
+        ],
+        ids=[
+            "pair-out-of-range",
+            "pair-negative",
+            "unmatched-out-of-range",
+            "json-unmatched-out-of-range",
+            "pair-repeated",
+            "unmatched-repeats-pair",
+            "unmatched-repeated",
+        ],
+    )
+    def test_bad_index_names_its_line(self, text):
+        classes = (QuotientPoint(F(0), F(1, 2)), QuotientPoint(F(1, 4), F(3, 4)))
+        readers = [
+            lambda: fileio.read_quotient_matching(text, 2, 2),
+            lambda: fileio.read_invariant_matching(text, classes, classes),
+        ]
+        for read in readers:
+            with pytest.raises(ParseError) as err:
+                read()
+            assert err.value.line_no == 2
+
+    def test_random_orbit_matchings_round_trip(self):
+        rng = random.Random(4000)
+        for trial in range(1100):
+            m = random_invariant_matching(rng, max_classes=2 + trial % 11)
+            for fmt in ("text", "json-lines"):
+                text = fileio.write_invariant_matching(m, fmt)
+                assert fileio.read_invariant_matching(text, m.classes_a, m.classes_b) == m

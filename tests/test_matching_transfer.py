@@ -11,7 +11,6 @@ from circlepers import (
     PartialMatching,
     QuotientDiagram,
     QuotientPoint,
-    WindowPair,
     bottleneck_quotient,
     invariant_cost,
     lift_matching,
@@ -39,35 +38,19 @@ class TestInvariantMatchingValidation:
                 classes, classes, frozenset({OrbitPair(0, 0, 0), OrbitPair(0, 1, 0)})
             )
 
-    def test_window_pair_cannot_touch_an_orbit_class(self):
+    def test_orbit_pair_index_must_be_in_range(self):
         classes = _classes(("0", "0.5"))
         with pytest.raises(ValueError):
-            InvariantMatching(
-                classes,
-                classes,
-                frozenset({OrbitPair(0, 0, 0)}),
-                frozenset({WindowPair(0, 1, 0, 1)}),
-            )
-
-    def test_window_residue_must_fit_the_window(self):
-        classes = _classes(("0", "0.5"), ("0.25", "0.75"))
-        with pytest.raises(ValueError):
-            InvariantMatching(
-                classes, classes, frozenset(), frozenset({WindowPair(0, 5, 1, 0)}), window=3
-            )
+            InvariantMatching(classes, classes, frozenset({OrbitPair(0, 1, 0)}))
 
     def test_partition_views(self):
         classes_a = _classes(("0", "0.5"), ("0.25", "0.75"), ("0.5", "1"))
         classes_b = _classes(("0.1", "0.6"), ("0.3", "0.8"))
-        m = InvariantMatching(
-            classes_a,
-            classes_b,
-            frozenset({OrbitPair(0, 0, 0)}),
-            frozenset({WindowPair(1, 0, 1, 1)}),
-        )
+        m = InvariantMatching(classes_a, classes_b, frozenset({OrbitPair(0, 0, 0)}))
         assert m.fully_matched_a() == {0}
-        assert m.unmatched_a() == {2}
-        assert m.unmatched_b() == set()
+        assert m.fully_matched_b() == {0}
+        assert m.unmatched_a() == {1, 2}
+        assert m.unmatched_b() == {1}
 
 
 class TestInvariantCost:
@@ -87,16 +70,6 @@ class TestInvariantCost:
         classes = _classes(("0", "0.5"))
         m = InvariantMatching(classes, classes, frozenset())
         assert invariant_cost(m) == F(1, 4)
-
-    def test_partial_class_still_pays_the_diagonal(self):
-        classes_a = _classes(("0", "1"))
-        classes_b = _classes(("0", "1"))
-        m = InvariantMatching(
-            classes_a, classes_b, frozenset(), frozenset({WindowPair(0, 0, 0, 0)})
-        )
-        # the single matched representative costs 0, but infinitely many
-        # translates stay unmatched and each pays half the persistence
-        assert invariant_cost(m) == F(1, 2)
 
 
 class TestProjectMatching:
@@ -134,11 +107,10 @@ class TestProjectMatching:
             assert projected.pairs == {(op.a, op.b) for op in m.orbit_pairs}
             plane_cost = invariant_cost(m)
             orbit_partners = {(p.a, p.b) for p in m.orbit_pairs}
-            window_partners = {(wp.a, wp.b) for wp in m.window_pairs}
             cost = F(0)
             for i, j in projected.pairs:
                 # invariant (i): a projected pair is backed by a matched plane pair
-                assert (i, j) in orbit_partners | window_partners
+                assert (i, j) in orbit_partners
                 cost = max(cost, quotient_linf(m.classes_a[i], m.classes_b[j]))
             for i in projected.unmatched_a:
                 # invariant (ii): an unmatched class has an unmatched representative

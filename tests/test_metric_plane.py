@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -154,3 +156,18 @@ class TestBottleneckPlane:
         first = bottleneck_plane(a, b)
         second = bottleneck_plane(a, b)
         assert first.witness == second.witness
+
+    def test_long_augmenting_chain_needs_no_recursion(self):
+        # A_i is 1/2 from B_i and B_{i-1}; the half persistences are far larger,
+        # so the optimum matches A_i to B_i and the search walks long chains
+        n = 300
+        a = Diagram(tuple(PlanePoint(F(i), F(i + 10**4)) for i in range(n)))
+        b = Diagram(tuple(PlanePoint(F(2 * i + 1, 2), F(2 * i + 1, 2) + 10**4) for i in range(n)))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 100)
+        try:
+            value, witness = bottleneck_plane(a, b)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert value == F(1, 2)
+        assert matching_cost(a, b, witness) == value

@@ -71,6 +71,17 @@ class TestQuotientLinf:
             assert max(abs(p.a - q.a + shift), abs(p.b - q.b + shift)) == value
             assert linf(p.representative(shift), q.representative(0)) == value
 
+    def test_shift_is_the_smallest_minimiser(self):
+        # with denominator 2 some pairs tie between two shifts
+        rng = random.Random(78)
+        for den in (2, 4, 7, 8, 240):
+            for _ in range(100):
+                a, c = (F(rng.randint(0, den - 1), den) for _ in range(2))
+                p = QuotientPoint(a, a + F(rng.randint(0, 3 * den), den))
+                q = QuotientPoint(c, c + F(rng.randint(0, 3 * den), den))
+                costs = [(max(abs(p.a - q.a + k), abs(p.b - q.b + k)), k) for k in range(-5, 6)]
+                assert quotient_linf_with_shift(p, q) == min(costs)
+
     @given(p=quotient_points, q=quotient_points)
     @settings(max_examples=150, deadline=None)
     def test_matches_window_enumeration(self, p, q):
