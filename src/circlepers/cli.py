@@ -70,6 +70,8 @@ def _cmd_dgm(args) -> int:
 
 
 def _cmd_distance(args) -> int:
+    if args.no_canonicalize and args.metric != "bottleneck-q":
+        raise ValueError("--no-canonicalize applies only to bottleneck-q")
     text_a = _read_text(args.diagram_a)
     text_b = _read_text(args.diagram_b)
     if args.metric == "bottleneck":
@@ -244,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument(
         "--no-canonicalize",
         action="store_true",
-        help="reject non-canonical quotient points instead of canonicalizing",
+        help="bottleneck-q only: reject non-canonical quotient points instead of canonicalizing",
     )
     p_dist.add_argument("--format", choices=["text", "json-lines"], default="text")
 

@@ -4,7 +4,7 @@ A :class:`Matrix` stores one Python int per row, where bit c is the entry in
 column c, plus the column count.  A vector is a single int in the same
 layout.  Row operations are whole-row XORs, in the spirit of M4RI; the
 dimensions met here are tiny (tens of rows, a few hundred columns at most),
-so plain Gauss-Jordan on those ints is all that is needed.
+so one plain Gauss-Jordan on those ints, `rref`, serves every solver here.
 """
 
 from __future__ import annotations
@@ -101,46 +101,20 @@ def nullspace(a: Matrix) -> Matrix:
     return Matrix(tuple(basis), a.cols)
 
 
-def solve(a: Matrix, b: int) -> int | None:
-    """One solution of ``a @ x = b`` or None if the system is inconsistent.
-
-    Bit r of *b* is the right-hand side of row r; the solution sets only
-    pivot columns.
-    """
-    n = a.cols
-    aug = Matrix(tuple(row | (b >> r & 1) << n for r, row in enumerate(a.rows)), n + 1)
-    m, pivots = rref(aug)
-    if pivots and pivots[-1] == n:
-        return None
-    x = 0
-    for row, pc in zip(m.rows, pivots):
-        x |= (row >> n & 1) << pc
-    return x
-
-
 def lex_min_solution(a: Matrix, b: int) -> int | None:
-    """Solution of ``a @ x = b`` minimising ``sum(x[k] * 2**k)``, as an int.
+    """The smallest x whose set bits k pick rows of *a* that XOR to *b*.
 
-    This is the first solution an ascending-bitmask enumeration of candidate
-    vectors would reach, which is the tie-break order used by the
-    interleaving search.  Returns None when the system is inconsistent.
-
-    The solutions are one particular solution plus the kernel.  With the
-    kernel basis echelonised by highest bit, clearing each leading bit of the
-    particular solution from the top down reaches the smallest integer.
+    Smallest as ``sum(x[k] * 2**k)``, so x is the first pick an ascending
+    bitmask scan reaches; None when *b* (``a.cols`` bits) is not in the span.
+    Row k is tagged with bit ``a.cols + n - 1 - k``, and one rref of the
+    tagged rows pivots every kernel vector at the highest row index it uses.
+    Reducing *b* clears those pivots too, so an entry bit left over means no
+    solution, and the tags left over name the smallest one.
     """
-    x = solve(a, b)
-    if x is None:
+    n = len(a.rows)
+    top = a.cols + n - 1
+    tagged = Matrix(tuple(row | 1 << (top - k) for k, row in enumerate(a.rows)), a.cols + n)
+    residue = reduce_vector(*rref(tagged), b)
+    if residue & ((1 << a.cols) - 1):
         return None
-    leading: dict[int, int] = {}  # highest bit -> kernel vector led by it
-    for vec in nullspace(a).rows:
-        while vec:
-            top = vec.bit_length() - 1
-            if top not in leading:
-                leading[top] = vec
-                break
-            vec ^= leading[top]
-    for top in sorted(leading, reverse=True):
-        if x >> top & 1:
-            x ^= leading[top]
-    return x
+    return sum(1 << k for k in range(n) if residue >> (top - k) & 1)

@@ -107,9 +107,6 @@ def loop_map(g: GridModule) -> Matrix:
 
 
 def loop_is_nilpotent(g: GridModule) -> bool:
-    """Whether the loop map is nilpotent (it must be, for interval sources)."""
-    m = loop_map(g)
-    power = gf2.identity(m.shape[0])
-    for _ in range(max(m.shape[0], 1)):
-        power = gf2.matmul(m, power)
-    return not any(power.rows)
+    """Whether the loop map is nilpotent (it must be, for interval sources):
+    its d-th power, d turns from node 0 with d the fiber dimension there, is 0."""
+    return not any(step_composite(g, 0, g.resolution * max(g.dims[0], 1)).rows)

@@ -171,9 +171,11 @@ def feasible_interleaving(
     triangle identities against the internal 2s-shifts hold.  Candidates are
     scanned in ascending bitmask order over the nullspace bases; for each
     forward candidate the triangle identities are linear in the backward
-    coefficients, so the backward scan collapses to a consistency check that
-    accepts and reports exactly the first passing pair of the full product
-    scan.  Instances whose candidate product exceeds *budget* are rejected.
+    coefficients, so the backward scan collapses to one
+    `gf2.lex_min_solution` call: None, or the first backward mask that
+    passes, which makes the result exactly the first passing pair of the
+    full product scan.  Instances whose candidate product exceeds *budget*
+    are rejected.
 
     The identities are bilinear in the two coefficient vectors, so the
     column of backward coefficient k, for forward mask x, is the XOR over
@@ -214,19 +216,9 @@ def feasible_interleaving(
                     columns = [c ^ b for c, b in zip(columns, blocks[i])]
                 flipped >>= 1
                 i += 1
-        reduced, pivots = gf2.rref(Matrix(tuple(columns), width))
-        if gf2.reduce_vector(reduced, pivots, rhs):
+        coefficients = gf2.lex_min_solution(Matrix(tuple(columns), width), rhs)
+        if coefficients is None:
             continue
-        # the same system with one row per equation, to pick the backward
-        # coefficients the product scan would reach first
-        system = Matrix(
-            tuple(
-                sum((col >> e & 1) << k for k, col in enumerate(columns)) for e in range(width)
-            ),
-            d_b,
-        )
-        coefficients = gf2.lex_min_solution(system, rhs)
-        assert coefficients is not None
         forward = GridMorphism(s, _combination(basis_a, mask, _morphism_shapes(v, w, s)))
         backward = GridMorphism(s, _combination(basis_b, coefficients, _morphism_shapes(w, v, s)))
         return FeasibilityResult(True, forward, backward)

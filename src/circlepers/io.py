@@ -52,12 +52,17 @@ def _parse_value(token: str, line_no: int) -> Ext:
         raise ParseError(line_no, str(exc)) from exc
 
 
+# JSON fractions and exponents stay text for `parse_number`, so `1e400` is
+# a finite rational and no digit is lost to a float on the way
+_JSON_DECODER = json.JSONDecoder(parse_float=str)
+
+
 def _json_record(line: str, line_no: int) -> dict | None:
     if not line.startswith("{"):
         return None
     try:
-        record = json.loads(line)
-    except json.JSONDecodeError as exc:
+        record = _JSON_DECODER.decode(line)
+    except (ValueError, RecursionError) as exc:  # also too many digits or too deep
         raise ParseError(line_no, f"bad json record: {exc}") from exc
     if not isinstance(record, dict):
         raise ParseError(line_no, "json record must be an object")

@@ -9,6 +9,7 @@ feasibility test on the doubled bipartite graph.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -198,17 +199,12 @@ def solve_bottleneck(
             adjacency.append(row)
         return _perfect_matching(n_a + n_b, n_a + n_b, adjacency)
 
-    lo, hi = 0, len(ordered) - 1
-    best = matching_at(ordered[hi])
-    assert best is not None  # the largest candidate always admits a matching
-    while lo < hi:
-        mid = (lo + hi) // 2
-        attempt = matching_at(ordered[mid])
-        if attempt is None:
-            lo = mid + 1
-        else:
-            best = attempt
-            hi = mid
+    # feasibility is monotone in t, and the largest candidate is always feasible
+    lo = bisect.bisect_left(
+        ordered, True, hi=len(ordered) - 1, key=lambda t: matching_at(t) is not None
+    )
+    best = matching_at(ordered[lo])
+    assert best is not None
 
     pairs = set()
     unmatched_b = set()

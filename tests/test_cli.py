@@ -101,6 +101,14 @@ class TestDistance:
         b = write(tmp_path, "b.txt", "0.2 0.5\n")
         assert main(["distance", "bottleneck-q", a, b, "--no-canonicalize"]) == 2
 
+    @pytest.mark.parametrize("metric", ["bottleneck", "interleave-circle"])
+    def test_no_canonicalize_is_refused_outside_bottleneck_q(self, tmp_path, capsys, metric):
+        a = write(tmp_path, "a.txt", "co 0 0.5\n")
+        assert main(["distance", metric, a, a, "--no-canonicalize"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --no-canonicalize applies only to bottleneck-q\n"
+
     def test_infinite_point_in_quotient_mode_exits_2(self, tmp_path, capsys):
         a = write(tmp_path, "a.txt", "0 inf\n")
         b = write(tmp_path, "b.txt", "0.2 0.5\n")

@@ -1,0 +1,77 @@
+import random
+
+from circlepers.gf2 import Matrix, lex_min_solution, nullspace, rref
+
+
+def picked_xor(rows, x: int) -> int:
+    acc = 0
+    for k, row in enumerate(rows):
+        if x >> k & 1:
+            acc ^= row
+    return acc
+
+
+def first_pick(rows, b: int) -> int | None:
+    """The first x of an ascending enumeration whose picked rows XOR to b."""
+    for x in range(1 << len(rows)):
+        if picked_xor(rows, x) == b:
+            return x
+    return None
+
+
+def random_case(rng: random.Random) -> tuple[Matrix, int]:
+    """0-8 rows of 0-12 columns; some rows repeat sums of earlier ones, and
+    the target is a pick of the rows or, a third of the time, anything."""
+    cols = rng.randint(0, 12)
+    rows = []
+    for _ in range(rng.randint(0, 8)):
+        if rows and rng.random() < 0.3:
+            rows.append(picked_xor(rows, rng.getrandbits(len(rows))))
+        else:
+            rows.append(rng.getrandbits(cols))
+    if rng.random() < 1 / 3:
+        b = rng.getrandbits(cols)
+    else:
+        b = picked_xor(rows, rng.getrandbits(len(rows)))
+    return Matrix(tuple(rows), cols), b
+
+
+class TestLexMinSolution:
+    def test_matches_the_ascending_enumeration(self):
+        rng = random.Random(2412)
+        inconsistent = 0
+        for case in range(4000):
+            a, b = random_case(rng)
+            expected = first_pick(a.rows, b)
+            assert lex_min_solution(a, b) == expected, (case, a, b)
+            inconsistent += expected is None
+        assert inconsistent >= 400  # both answers are exercised
+
+    def test_small_cases(self):
+        empty = Matrix((), 3)
+        assert lex_min_solution(empty, 0) == 0
+        assert lex_min_solution(empty, 0b101) is None
+        # rows 0 and 2 are equal: picking row 0 alone beats picking row 2
+        a = Matrix((0b01, 0b10, 0b01), 2)
+        assert lex_min_solution(a, 0b01) == 0b001
+        assert lex_min_solution(a, 0b11) == 0b011
+        assert lex_min_solution(a, 0) == 0
+        assert lex_min_solution(Matrix((0b11,), 2), 0b01) is None
+
+
+class TestElimination:
+    def test_rref_and_nullspace(self):
+        rng = random.Random(7)
+        for _ in range(500):
+            a, _ = random_case(rng)
+            reduced, pivots = rref(a)
+            assert reduced.shape == a.shape
+            assert pivots == sorted(pivots)
+            for row, col in zip(reduced.rows, pivots):
+                assert row & ((1 << col + 1) - 1) == 1 << col  # pivot is the lowest bit
+                assert all(other >> col & 1 == 0 for other in reduced.rows if other != row)
+            assert not any(reduced.rows[len(pivots):])
+            kernel = nullspace(a)
+            assert len(kernel.rows) == a.cols - len(pivots)
+            for vec in kernel.rows:
+                assert all(bin(row & vec).count("1") % 2 == 0 for row in a.rows)

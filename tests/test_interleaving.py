@@ -11,6 +11,7 @@ from circlepers import (
     BudgetExceeded,
     CircleInterval,
     CircleModule,
+    GridModule,
     LineInterval,
     INF,
     NEG_INF,
@@ -26,6 +27,7 @@ from circlepers import (
     to_grid,
     translate_basis,
 )
+from circlepers.gf2 import Matrix, identity
 from generators import random_on_grid_module
 from oracles import (
     as_array,
@@ -68,6 +70,19 @@ class TestToGrid:
             for j in range(8):
                 expected = structure_map(m, F(j, 8), F(j + 1, 8))
                 assert g.steps[j].tolist() == expected.tolist()
+
+    def test_loop_is_nilpotent_on_hand_built_loops(self):
+        # two nodes; the step out of node 1 sets the loop map at node 0
+        def with_loop(rows, d):
+            return GridModule(2, (d, d), (identity(d), Matrix(rows, d)))
+
+        assert not loop_is_nilpotent(with_loop((0b1,), 1))  # the identity
+        assert not loop_is_nilpotent(with_loop((0b01, 0b10), 2))
+        assert not loop_is_nilpotent(with_loop((0b01, 0b00), 2))  # idempotent
+        assert loop_is_nilpotent(with_loop((0b10, 0b00), 2))
+        # a 3x3 Jordan block: its square is nonzero, its cube vanishes
+        assert loop_is_nilpotent(with_loop((0b010, 0b100, 0b000), 3))
+        assert loop_is_nilpotent(GridModule(2, (0, 0), (Matrix((), 0), Matrix((), 0))))
 
     def test_loop_map_nilpotent_on_randoms(self):
         rng = random.Random(43)
@@ -325,6 +340,27 @@ class TestBruteforceDistance:
             grid_value = bruteforce_distance(to_grid(mv, n), to_grid(mw, n))
             assert grid_value == F(math.ceil(n * circle_value), n), (trial, n)
             assert abs(grid_value - circle_value) <= F(1, n)
+
+
+class TestRotationInvariance:
+    def test_rotating_both_modules_keeps_both_distances(self):
+        # a rotation by k/N moves intervals across the seam at 0, where
+        # to_grid bumps the translate index, so the grid search sees new data
+        def rotated(m, c):
+            return CircleModule(
+                tuple(CircleInterval(i.lo + c, i.hi + c, i.lo_kind, i.hi_kind) for i in m.intervals)
+            )
+
+        rng = random.Random(2412)
+        for trial in range(300):
+            n = (4, 6, 8)[trial % 3]
+            mv = random_on_grid_module(rng, n, random_kinds=True)
+            mw = random_on_grid_module(rng, n, random_kinds=True)
+            c = F(rng.randrange(1, n), n)
+            rv, rw = rotated(mv, c), rotated(mw, c)
+            assert interleaving_distance_circle(rv, rw) == interleaving_distance_circle(mv, mw)
+            grid_value = bruteforce_distance(to_grid(mv, n), to_grid(mw, n))
+            assert bruteforce_distance(to_grid(rv, n), to_grid(rw, n)) == grid_value, (trial, c)
 
 
 class TestWindowGridAgainstClosedForm:

@@ -134,6 +134,50 @@ class TestDiagramFiles:
         assert fileio.write_plane_diagram(Diagram(())) == ""
 
 
+class TestJsonNumbers:
+    """A JSON number reads as the same text would: exactly, never via float."""
+
+    PAIRS = [("0", "1e400"), ("0.12345678901234567890", "1"), ("-2.5E-3", "7")]
+
+    @staticmethod
+    def outcome(read, text):
+        try:
+            return read(text)
+        except ParseError as exc:
+            return f"line {exc.line_no}"
+
+    def test_text_and_json_forms_read_equal(self):
+        for lo, hi in self.PAIRS:
+            interval_text = f"co {lo} {hi}\n"
+            interval_json = '{"kind": "co", "lo": %s, "hi": %s}\n' % (lo, hi)
+            for read in (fileio.read_line_module, fileio.read_circle_module):
+                assert read(interval_json) == read(interval_text)
+            points_text = f"{lo} {hi} 2\n"
+            points_json = '{"a": %s, "b": %s, "multiplicity": 2}\n' % (lo, hi)
+            for read in (fileio.read_plane_diagram, fileio.read_quotient_diagram):
+                assert read(points_json) == read(points_text)
+        module = fileio.read_line_module('{"kind": "co", "lo": 0, "hi": 1e400}\n')
+        assert module.intervals[0].hi == F(10) ** 400
+        diagram = fileio.read_plane_diagram('{"a": 0.12345678901234567890, "b": 1}\n')
+        assert diagram.points[0].a == F(1234567890123456789, 10**19)
+
+    def test_overlong_integer_is_an_error_on_its_line(self):
+        # Python caps int() at 4300 digits by default; whichever way it goes,
+        # both forms agree, and a refusal names the line
+        digits = "1" * 5000
+        text = self.outcome(fileio.read_line_module, f"co 0 {digits}\n")
+        record = self.outcome(fileio.read_line_module, '{"kind": "co", "lo": 0, "hi": %s}\n' % digits)
+        assert record == text
+        if isinstance(record, str):
+            assert record == "line 1"
+
+    def test_deeply_nested_record_is_an_error_on_its_line(self):
+        text = 'co 0 1\n{"kind": "co", "lo": %s}\n' % ("[" * 100_000)
+        with pytest.raises(ParseError) as err:
+            fileio.read_line_module(text)
+        assert err.value.line_no == 2
+
+
 class TestMatchingFiles:
     def test_quotient_matching_round_trip(self):
         matching = PartialMatching.from_pairs({(0, 1), (2, 0)}, 4, 3)
