@@ -8,7 +8,7 @@ independent brute-force interleaving search on discretised grid modules that
 cross-checks the diagram route.
 """
 
-from .grid import GridModule, direct_sum, loop_is_nilpotent, loop_map, step_composite, to_grid
+from .grid import GridModule, direct_sum, loop_is_nilpotent, step_composite, to_grid
 from .intervals import (
     CLOSED,
     OPEN,
@@ -36,7 +36,6 @@ from .interleaving import (
     interval_distance_line,
     is_degree_morphism,
     is_interleaving_pair,
-    max_direct_sum_bound_check,
 )
 from .io import ParseError
 from .matching_transfer import (
@@ -116,10 +115,8 @@ __all__ = [
     "lift_module",
     "linf",
     "loop_is_nilpotent",
-    "loop_map",
     "matching_cost",
     "matching_cost_quotient",
-    "max_direct_sum_bound_check",
     "parse_number",
     "project_matching",
     "quotient_linf",

@@ -101,11 +101,6 @@ def step_composite(g: GridModule, start: int, count: int) -> Matrix:
     return acc
 
 
-def loop_map(g: GridModule) -> Matrix:
-    """The around-the-circle composite based at node 0."""
-    return step_composite(g, 0, g.resolution)
-
-
 def loop_is_nilpotent(g: GridModule) -> bool:
     """Whether the loop map is nilpotent (it must be, for interval sources):
     its d-th power, d turns from node 0 with d the fiber dimension there, is 0."""

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from . import gf2
 from .gf2 import Matrix
-from .grid import GridModule, direct_sum, step_composite
+from .grid import GridModule, step_composite
 from .intervals import CircleModule, LineInterval, diagram_of
 from .metric_plane import diag_cost, linf
 from .metric_quotient import bottleneck_quotient
@@ -283,21 +283,3 @@ def bruteforce_distance(v: GridModule, w: GridModule, budget: int = DEFAULT_BUDG
     raise RuntimeError(
         f"no interleaving found up to the safety bound s = {limit}; grid data inconsistent"
     )
-
-
-def max_direct_sum_bound_check(
-    v1: GridModule,
-    w1: GridModule,
-    v2: GridModule,
-    w2: GridModule,
-    budget: int = DEFAULT_BUDGET,
-) -> bool:
-    """Verify the direct-sum bound on a concrete quadruple.
-
-    The distance between blockwise direct sums must not exceed the larger of
-    the summand distances.
-    """
-    d1 = bruteforce_distance(v1, w1, budget)
-    d2 = bruteforce_distance(v2, w2, budget)
-    d_sum = bruteforce_distance(direct_sum(v1, v2), direct_sum(w1, w2), budget)
-    return d_sum <= max(d1, d2)

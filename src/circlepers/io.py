@@ -28,7 +28,7 @@ from .intervals import (
 from .matching_transfer import InvariantMatching, OrbitPair
 from .metric_plane import Diagram, PartialMatching, PlanePoint
 from .metric_quotient import QuotientDiagram, QuotientPoint
-from .rationals import Ext, format_number, is_finite, parse_number
+from .rationals import Ext, format_number, is_finite, parse_number, quoted
 
 
 class ParseError(ValueError):
@@ -52,9 +52,14 @@ def _parse_value(token: str, line_no: int) -> Ext:
         raise ParseError(line_no, str(exc)) from exc
 
 
-# JSON fractions and exponents stay text for `parse_number`, so `1e400` is
-# a finite rational and no digit is lost to a float on the way
-_JSON_DECODER = json.JSONDecoder(parse_float=str)
+class _JsonInt(str):
+    """The digits of a JSON integer, distinct from a JSON string."""
+
+
+# JSON numbers stay text for `parse_number`, so `1e400` is a finite rational,
+# no digit is lost to a float on the way, and an integer too long for `int`
+# gets the same error as in a text line
+_JSON_DECODER = json.JSONDecoder(parse_float=str, parse_int=_JsonInt)
 
 
 def _json_record(line: str, line_no: int) -> dict | None:
@@ -85,12 +90,12 @@ def _interval_rows(text: str) -> Iterator[tuple[int, str, Ext, Ext]]:
         else:
             parts = line.split()
             if len(parts) != 3:
-                raise ParseError(line_no, f"expected `KIND lo hi`, got {line!r}")
+                raise ParseError(line_no, f"expected `KIND lo hi`, got {quoted(line)}")
             kind, lo_text, hi_text = parts
             lo = _parse_value(lo_text, line_no)
             hi = _parse_value(hi_text, line_no)
         if kind not in KIND_CODES:
-            raise ParseError(line_no, f"unknown endpoint kind {kind!r} (use oo/oc/co/cc)")
+            raise ParseError(line_no, f"unknown endpoint kind {quoted(kind)} (use oo/oc/co/cc)")
         yield line_no, kind, lo, hi
 
 
@@ -138,20 +143,21 @@ def _diagram_rows(text: str) -> Iterator[tuple[int, Ext, Ext, int]]:
                 b = _parse_value(str(record["b"]), line_no)
             except KeyError as exc:
                 raise ParseError(line_no, f"missing field {exc}") from exc
-            multiplicity = record.get("multiplicity", 1)
+            multiplicity = record.get("multiplicity", _JsonInt(1))
             # a JSON integer only: int() would truncate 1.7 and accept true
-            if type(multiplicity) is not int:
-                raise ParseError(line_no, f"multiplicity must be an integer, got {multiplicity!r}")
+            if not isinstance(multiplicity, _JsonInt):
+                raise ParseError(line_no, f"multiplicity must be an integer, got {quoted(multiplicity)}")
         else:
             parts = line.split()
             if len(parts) not in (2, 3):
-                raise ParseError(line_no, f"expected `a b [multiplicity]`, got {line!r}")
+                raise ParseError(line_no, f"expected `a b [multiplicity]`, got {quoted(line)}")
             a = _parse_value(parts[0], line_no)
             b = _parse_value(parts[1], line_no)
-            try:
-                multiplicity = int(parts[2]) if len(parts) == 3 else 1
-            except ValueError as exc:
-                raise ParseError(line_no, f"bad multiplicity {parts[2]!r}") from exc
+            multiplicity = parts[2] if len(parts) == 3 else "1"
+        try:
+            multiplicity = int(multiplicity)
+        except ValueError as exc:
+            raise ParseError(line_no, f"bad multiplicity {quoted(multiplicity)}") from exc
         if multiplicity < 1:
             raise ParseError(line_no, f"multiplicity must be positive, got {multiplicity}")
         yield line_no, a, b, multiplicity
@@ -220,11 +226,11 @@ def write_quotient_diagram(diagram: QuotientDiagram, fmt: str = "text") -> str:
 def _integer(value, line_no: int, from_text: bool) -> int:
     # json values must be JSON integers, which refuses 1.5, true and "1"
     try:
-        if from_text or type(value) is int:
+        if from_text or isinstance(value, _JsonInt):
             return int(value)
     except ValueError:
         pass
-    raise ParseError(line_no, f"expected an integer, got {value!r}")
+    raise ParseError(line_no, f"expected an integer, got {quoted(value)}")
 
 
 def _json_matching_fields(record: dict) -> tuple[str | None, list]:
@@ -262,7 +268,7 @@ def _matching_rows(text: str, n_a: int, n_b: int, shift_required: bool) -> list[
         else:
             tag, values = _json_matching_fields(record)
         if len(values) not in arity.get(tag, ()):
-            raise ParseError(line_no, f"expected {forms}, got {line!r}")
+            raise ParseError(line_no, f"expected {forms}, got {quoted(line)}")
         numbers = tuple(_integer(v, line_no, record is None) for v in values)
         for side, index in zip(sides[tag], numbers):
             where = f"{side} index {index}"

@@ -3,13 +3,14 @@
 Diagram points are (birth, death) pairs with birth <= death; unmatched points
 pay half their persistence.  The bottleneck distance is computed exactly: the
 optimum is always one of finitely many candidate values (pairwise distances
-and half-persistences), located by binary search with a perfect-matching
-feasibility test on the doubled bipartite graph.
+and half-persistences), located by binary search.  The search runs on
+scaled integer costs; `Fraction`s appear only at the API boundary.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -123,15 +124,37 @@ class BottleneckResult(NamedTuple):
     witness: PartialMatching
 
 
-def _perfect_matching(n_left: int, n_right: int, adjacency: list[list[int]]) -> list[int] | None:
-    """Kuhn's augmenting-path matching; returns right->left or None if not perfect.
+# A cost inside the bottleneck kernel: a Python int in units of 1/(2D), where
+# D is the common denominator of the two diagrams' finite coordinates, or INF.
+Cost = int | float
 
-    Deterministic: left vertices are processed in index order and adjacency
-    lists are tried in the given order, depth first.  The search keeps an
-    explicit stack, so long augmenting paths need no recursion.
+
+def common_denominator(values) -> int:
+    """The lcm of the denominators of the finite values among *values*."""
+    return math.lcm(*(x.denominator for x in values if is_finite(x)))
+
+
+def scaled(x: Ext, scale: int) -> int | float:
+    """*x* times *scale* (a multiple of its denominator); infinities stay."""
+    return x.numerator * (scale // x.denominator) if is_finite(x) else x
+
+
+def unscaled(t: Cost, scale: int) -> Ext:
+    """A kernel cost back in plane units: a Fraction, even for 0, or INF."""
+    return INF if t == INF else Fraction(t, 2 * scale)
+
+
+def _kuhn_matching(roots, n_right: int, adjacency) -> list[int] | None:
+    """Kuhn's augmenting-path matching of *roots* into the right side.
+
+    Returns right -> left (-1 where unmatched), or None as soon as a root
+    cannot be matched.  Deterministic: roots are processed in the given
+    order and ``adjacency[u]`` is tried in its order, depth first.  The
+    search keeps an explicit stack, so long augmenting paths need no
+    recursion.
     """
     match_right = [-1] * n_right
-    for root in range(n_left):
+    for root in roots:
         seen = [False] * n_right
         # stack[d] is a left vertex with its remaining edges; through[d] is
         # the right vertex by which stack[d] reached stack[d + 1]
@@ -158,52 +181,82 @@ def _perfect_matching(n_left: int, n_right: int, adjacency: list[list[int]]) -> 
     return match_right
 
 
-def solve_bottleneck(
-    pair_costs: list[list[Ext]],
-    diag_a: list[Ext],
-    diag_b: list[Ext],
-) -> BottleneckResult:
-    """Exact bottleneck optimum for explicit cost tables.
+def _covers(rows: list[list[Cost]], diag: list[Cost], n_right: int, t: Cost) -> bool:
+    """Whether every point whose unmatched cost exceeds t matches into the
+    other diagram along pairs of cost <= t (row i holds point i's costs)."""
+    must = [i for i, d in enumerate(diag) if d > t]
+    adjacency = {i: [j for j, c in enumerate(rows[i]) if c <= t] for i in must}
+    return _kuhn_matching(must, n_right, adjacency) is not None
 
-    Feasibility at a threshold t is a perfect matching on the doubled graph:
-    every point gets a diagonal surrogate, point-point edges require pairwise
-    cost <= t, point-surrogate edges require half-persistence <= t, and
-    surrogate-surrogate edges are free.  The optimum is the smallest feasible
-    member of the finite candidate set (all table entries and 0).
+
+def _feasible(pair_costs, columns, diag_a, diag_b, t: Cost) -> bool:
+    """Whether some matching of cost <= t leaves only points of unmatched
+    cost <= t unmatched.
+
+    By Mendelsohn-Dulmage, a matching that covers A's points of unmatched
+    cost > t and one that covers B's combine into one that covers both, so
+    two one-sided matchings on the plain A x B graph decide it.
+    """
+    return _covers(pair_costs, diag_a, len(diag_b), t) and _covers(
+        columns, diag_b, len(diag_a), t
+    )
+
+
+def _doubled_matching(pair_costs, diag_a, diag_b, t: Cost) -> list[int] | None:
+    """The perfect matching at t on the doubled graph, right -> left, or None.
+
+    Every point gets a diagonal surrogate: left is A's points then B's
+    surrogates, right is B's points then A's surrogates.  Point-point edges
+    need pair cost <= t, point-surrogate edges need unmatched cost <= t,
+    and surrogate-surrogate edges are free.
     """
     n_a = len(diag_a)
     n_b = len(diag_b)
+    adjacency: list[list[int]] = []
+    for i in range(n_a):
+        row = [j for j in range(n_b) if pair_costs[i][j] <= t]
+        if diag_a[i] <= t:
+            row.append(n_b + i)
+        adjacency.append(row)
+    for j in range(n_b):
+        # surrogate-surrogate edges first, so a B surrogate only claims its
+        # real point when no A surrogate is left; ties then favour witnesses
+        # that keep point-point pairs matched
+        row = [n_b + i for i in range(n_a)]
+        if diag_b[j] <= t:
+            row.append(j)
+        adjacency.append(row)
+    return _kuhn_matching(range(n_a + n_b), n_a + n_b, adjacency)
 
-    candidates = {Fraction(0)}
+
+def solve_bottleneck(
+    pair_costs: list[list[Cost]],
+    diag_a: list[Cost],
+    diag_b: list[Cost],
+) -> BottleneckResult:
+    """Exact bottleneck optimum for explicit cost tables, in their units.
+
+    The optimum is the smallest feasible member of the finite candidate set
+    (all table entries and 0).  Feasibility is monotone in the threshold, so
+    a binary search finds it with the Mendelsohn-Dulmage test of
+    `_feasible`; the witness is the doubled-graph matching at the optimum.
+    """
+    n_a = len(diag_a)
+    n_b = len(diag_b)
+    candidates = {0, *diag_a, *diag_b}
     for row in pair_costs:
         candidates.update(row)
-    candidates.update(diag_a)
-    candidates.update(diag_b)
     ordered = sorted(candidates)
+    columns = [[row[j] for row in pair_costs] for j in range(n_b)]
 
-    # left: A points then surrogates of B; right: B points then surrogates of A
-    def matching_at(t: Ext) -> list[int] | None:
-        adjacency: list[list[int]] = []
-        for i in range(n_a):
-            row = [j for j in range(n_b) if pair_costs[i][j] <= t]
-            if diag_a[i] <= t:
-                row.append(n_b + i)
-            adjacency.append(row)
-        for j in range(n_b):
-            # surrogate-surrogate edges first, so a B surrogate only claims its
-            # real point when no A surrogate is left; ties then favour witnesses
-            # that keep point-point pairs matched
-            row = [n_b + i for i in range(n_a)]
-            if diag_b[j] <= t:
-                row.append(j)
-            adjacency.append(row)
-        return _perfect_matching(n_a + n_b, n_a + n_b, adjacency)
-
-    # feasibility is monotone in t, and the largest candidate is always feasible
+    # the largest candidate is always feasible
     lo = bisect.bisect_left(
-        ordered, True, hi=len(ordered) - 1, key=lambda t: matching_at(t) is not None
+        ordered,
+        True,
+        hi=len(ordered) - 1,
+        key=lambda t: _feasible(pair_costs, columns, diag_a, diag_b, t),
     )
-    best = matching_at(ordered[lo])
+    best = _doubled_matching(pair_costs, diag_a, diag_b, ordered[lo])
     assert best is not None
 
     pairs = set()
@@ -220,10 +273,23 @@ def solve_bottleneck(
 
 
 def bottleneck_plane(a: Diagram, b: Diagram) -> BottleneckResult:
-    """Exact bottleneck distance between two plane diagrams, with a witness."""
-    pair_costs = [[linf(p, q) for q in b.points] for p in a.points]
-    return solve_bottleneck(
-        pair_costs,
-        [diag_cost(p) for p in a.points],
-        [diag_cost(q) for q in b.points],
+    """Exact bottleneck distance between two plane diagrams, with a witness.
+
+    Coordinates are scaled by their common denominator D, so every cost is
+    an int in units of 1/(2D): twice the sup-gap for a pair, where equal
+    infinities are 0 apart, and death minus birth for an unmatched point.
+    """
+    scale = common_denominator(c for p in a.points + b.points for c in (p.a, p.b))
+    points_a = [(scaled(p.a, scale), scaled(p.b, scale)) for p in a.points]
+    points_b = [(scaled(q.a, scale), scaled(q.b, scale)) for q in b.points]
+    pair_costs = [
+        [
+            2 * max(0 if x == u else abs(x - u), 0 if y == v else abs(y - v))
+            for u, v in points_b
+        ]
+        for x, y in points_a
+    ]
+    value, witness = solve_bottleneck(
+        pair_costs, [y - x for x, y in points_a], [v - u for u, v in points_b]
     )
+    return BottleneckResult(unscaled(value, scale), witness)

@@ -12,7 +12,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .metric_plane import BottleneckResult, Diagram, PartialMatching, PlanePoint, solve_bottleneck
+from .metric_plane import (
+    BottleneckResult,
+    Diagram,
+    PartialMatching,
+    PlanePoint,
+    common_denominator,
+    scaled,
+    solve_bottleneck,
+    unscaled,
+)
 from .rationals import as_fraction
 
 
@@ -95,12 +104,28 @@ def matching_cost_quotient(a: QuotientDiagram, b: QuotientDiagram, matching: Par
 def bottleneck_quotient(a: QuotientDiagram, b: QuotientDiagram) -> BottleneckResult:
     """Exact bottleneck distance between quotient diagrams, with a witness.
 
-    Same threshold search as the plane version, with class distances as pair
-    costs and half-persistences as unmatched costs.
+    Same threshold search as the plane version, on coordinates scaled by
+    their common denominator D, with costs in units of 1/(2D).  A pair whose
+    scaled coordinate differences are u and v costs |2kD + u + v| + |u - v|
+    with k = -((u + v + D) // (2D)), the closed form of
+    `quotient_linf_with_shift`; 2kD + u + v is computed as
+    ((u + v + D) mod 2D) - D.  An unmatched class costs its scaled
+    persistence.
     """
-    pair_costs = [[quotient_linf(p, q) for q in b.points] for p in a.points]
-    return solve_bottleneck(
-        pair_costs,
-        [diag_cost_quotient(p) for p in a.points],
-        [diag_cost_quotient(q) for q in b.points],
+    scale = common_denominator(c for p in a.points + b.points for c in (p.a, p.b))
+    # u + v is the difference of the two coordinate sums, and u - v that of
+    # the two persistences, up to sign
+    points_a = [(scaled(p.a + p.b, scale), scaled(p.persistence, scale)) for p in a.points]
+    points_b = [(scaled(q.a + q.b, scale), scaled(q.persistence, scale)) for q in b.points]
+    period = 2 * scale
+    pair_costs = [
+        [
+            abs((sum_p - sum_q + scale) % period - scale) + abs(pers_p - pers_q)
+            for sum_q, pers_q in points_b
+        ]
+        for sum_p, pers_p in points_a
+    ]
+    value, witness = solve_bottleneck(
+        pair_costs, [pers for _, pers in points_a], [pers for _, pers in points_b]
     )
+    return BottleneckResult(unscaled(value, scale), witness)

@@ -1,9 +1,11 @@
 """Exact extended-rational arithmetic helpers.
 
-Every finite value in this package is a `fractions.Fraction`; the only floats
-allowed are the two infinities.  Keeping endpoints and thresholds exact turns
-every distance comparison into a pure integer computation, which the
-bottleneck search and the interleaving feasibility tests rely on.
+Every finite value at the package's API is a `fractions.Fraction`; the only
+floats allowed are the two infinities.  Inside the bottleneck kernel the
+coordinates are scaled by their common denominator, so costs are plain
+ints there and return as `Fraction`s.  Keeping endpoints and thresholds
+exact turns every distance comparison into a pure integer computation,
+which the bottleneck search and the interleaving feasibility tests rely on.
 """
 
 from __future__ import annotations
@@ -15,6 +17,14 @@ Ext = Fraction | float
 
 INF: float = math.inf
 NEG_INF: float = -math.inf
+
+
+def quoted(value, limit: int = 40) -> str:
+    """``repr(value)`` for an error message.  A longer string shows its first
+    *limit* characters and its length, so one bad token cannot flood stderr."""
+    if isinstance(value, str) and len(value) > limit:
+        return f"{value[:limit]!r}... ({len(value)} characters)"
+    return repr(value)
 
 
 def is_finite(x: Ext) -> bool:
@@ -63,7 +73,7 @@ def parse_number(text: str) -> Ext:
     try:
         return Fraction(t)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a number: {text!r}") from exc
+        raise ValueError(f"not a number: {quoted(text)}") from exc
 
 
 def _strip_factor(n: int, p: int) -> tuple[int, int]:

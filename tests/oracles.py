@@ -1,22 +1,26 @@
 """Independent reference computations the library is checked against.
 
 Most of it works by definition-level enumeration: all partial matchings,
-all integer translates in a window, and so on.  The rest is the numpy grid
-search kernel, frozen as it was before the bitset kernel replaced it.  None
-of it shares code with the algorithmic paths it is used to verify.
+all integer translates in a window, and so on.  The rest are kernels frozen
+as they were before a faster one replaced them: the numpy grid search and
+the `Fraction` bottleneck search.  None of it shares code with the
+algorithmic paths it is used to verify.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import numpy as np
 
-from circlepers import CLOSED, CircleInterval, LineInterval
+from circlepers import CLOSED, CircleInterval, LineInterval, bruteforce_distance, direct_sum
+from circlepers.interleaving import DEFAULT_BUDGET
+from circlepers.metric_plane import PartialMatching, PlanePoint
 from circlepers.metric_quotient import QuotientPoint
-from circlepers.rationals import Ext
+from circlepers.rationals import INF, NEG_INF, Ext, is_finite
 
 
 def enumerate_bottleneck(pair_costs, diag_a, diag_b) -> Ext:
@@ -282,3 +286,148 @@ def scan_translate_basis(m, x: Fraction) -> list[tuple[int, int]]:
             if LineInterval(ival.lo, ival.hi, ival.lo_kind, ival.hi_kind).contains(x + k):
                 labels.append((idx, k))
     return labels
+
+
+def max_direct_sum_bound_check(v1, w1, v2, w2, budget: int = DEFAULT_BUDGET) -> bool:
+    """Verify the direct-sum bound on a concrete quadruple.
+
+    The distance between blockwise direct sums must not exceed the larger of
+    the summand distances.
+    """
+    d1 = bruteforce_distance(v1, w1, budget)
+    d2 = bruteforce_distance(v2, w2, budget)
+    d_sum = bruteforce_distance(direct_sum(v1, v2), direct_sum(w1, w2), budget)
+    return d_sum <= max(d1, d2)
+
+
+# -- the Fraction bottleneck kernel, frozen as the reference -----------------
+#
+# The cost tables of `bottleneck_plane` and `bottleneck_quotient` and the
+# doubled-graph threshold search as they were before the scaled-integer
+# kernel replaced them.  Every probe is a perfect matching on the doubled
+# graph, and every comparison is on `Fraction`s; the library must return
+# the same value (type included) and the same witness.
+
+
+def _frozen_coord_gap(x: Ext, y: Ext) -> Ext:
+    if not is_finite(x) and not is_finite(y):
+        return Fraction(0) if x == y else INF
+    if not is_finite(x) or not is_finite(y):
+        return INF
+    return abs(x - y)
+
+
+def frozen_linf(p: PlanePoint, q: PlanePoint) -> Ext:
+    return max(_frozen_coord_gap(p.a, q.a), _frozen_coord_gap(p.b, q.b))
+
+
+def frozen_diag_cost(p: PlanePoint) -> Ext:
+    if p.b == INF or p.a == NEG_INF:
+        return INF
+    return (p.b - p.a) / 2
+
+
+def frozen_quotient_linf(p: QuotientPoint, q: QuotientPoint) -> Fraction:
+    u = p.a - q.a
+    v = p.b - q.b
+    den = u.denominator * v.denominator
+    x = u.numerator * v.denominator
+    y = v.numerator * u.denominator
+    k = -((x + y + den) // (2 * den))
+    return Fraction(abs(2 * k * den + x + y) + abs(x - y), 2 * den)
+
+
+def frozen_perfect_matching(n_left: int, n_right: int, adjacency: list[list[int]]) -> list[int] | None:
+    match_right = [-1] * n_right
+    for root in range(n_left):
+        seen = [False] * n_right
+        stack = [(root, iter(adjacency[root]))]
+        through: list[int] = []
+        while stack:
+            for v in stack[-1][1]:
+                if not seen[v]:
+                    break
+            else:
+                stack.pop()
+                if through:
+                    through.pop()
+                continue
+            seen[v] = True
+            through.append(v)
+            if match_right[v] == -1:
+                for (u, _), w in zip(stack, through):
+                    match_right[w] = u
+                break
+            stack.append((match_right[v], iter(adjacency[match_right[v]])))
+        else:
+            return None
+    return match_right
+
+
+def frozen_matching_at(pair_costs, diag_a, diag_b, t: Ext) -> list[int] | None:
+    """The doubled-graph probe: right -> left of the perfect matching at t, or None."""
+    n_a = len(diag_a)
+    n_b = len(diag_b)
+    adjacency: list[list[int]] = []
+    for i in range(n_a):
+        row = [j for j in range(n_b) if pair_costs[i][j] <= t]
+        if diag_a[i] <= t:
+            row.append(n_b + i)
+        adjacency.append(row)
+    for j in range(n_b):
+        row = [n_b + i for i in range(n_a)]
+        if diag_b[j] <= t:
+            row.append(j)
+        adjacency.append(row)
+    return frozen_perfect_matching(n_a + n_b, n_a + n_b, adjacency)
+
+
+def frozen_solve_bottleneck(pair_costs, diag_a, diag_b) -> tuple[Ext, PartialMatching]:
+    n_a = len(diag_a)
+    n_b = len(diag_b)
+
+    candidates = {Fraction(0)}
+    for row in pair_costs:
+        candidates.update(row)
+    candidates.update(diag_a)
+    candidates.update(diag_b)
+    ordered = sorted(candidates)
+
+    def matching_at(t: Ext) -> list[int] | None:
+        return frozen_matching_at(pair_costs, diag_a, diag_b, t)
+
+    lo = bisect.bisect_left(
+        ordered, True, hi=len(ordered) - 1, key=lambda t: matching_at(t) is not None
+    )
+    best = matching_at(ordered[lo])
+    assert best is not None
+
+    pairs = set()
+    unmatched_b = set()
+    for j in range(n_b):
+        u = best[j]
+        if u < n_a:
+            pairs.add((u, j))
+        else:
+            unmatched_b.add(j)
+    unmatched_a = {i for i in range(n_a) if best[n_b + i] == i}
+    witness = PartialMatching(frozenset(pairs), frozenset(unmatched_a), frozenset(unmatched_b))
+    return ordered[lo], witness
+
+
+def frozen_bottleneck_plane(a, b) -> tuple[Ext, PartialMatching]:
+    pair_costs = [[frozen_linf(p, q) for q in b.points] for p in a.points]
+    return frozen_solve_bottleneck(
+        pair_costs,
+        [frozen_diag_cost(p) for p in a.points],
+        [frozen_diag_cost(q) for q in b.points],
+    )
+
+
+def frozen_bottleneck_quotient(a, b) -> tuple[Ext, PartialMatching]:
+    pair_costs = [[frozen_quotient_linf(p, q) for q in b.points] for p in a.points]
+    return frozen_solve_bottleneck(
+        pair_costs,
+        [p.persistence / 2 for p in a.points],
+        [q.persistence / 2 for q in b.points],
+    )

@@ -27,7 +27,6 @@ from circlepers import (
     lift_matching,
     linf,
     matching_cost_quotient,
-    max_direct_sum_bound_check,
     project_matching,
     quotient_linf,
     to_grid,
@@ -42,7 +41,7 @@ from generators import (
     random_quotient_diagram,
     random_quotient_point,
 )
-from oracles import enumerate_bottleneck, window_quotient_linf
+from oracles import enumerate_bottleneck, max_direct_sum_bound_check, window_quotient_linf
 
 F = Fraction
 

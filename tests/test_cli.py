@@ -50,6 +50,24 @@ class TestDgm:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["dgm", "circle", str(tmp_path / "absent.txt")]) == 2
 
+    @pytest.mark.parametrize("token", ["1" * 5000, "x" * 5000], ids=["digits", "letters"])
+    def test_long_bad_token_gives_one_short_line_in_both_forms(self, tmp_path, capsys, token):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if token.isdigit() and not 0 < limit < len(token):
+            pytest.skip("this Python reads a 5000-digit integer")
+        value = token if token.isdigit() else json.dumps(token)
+        errors = []
+        for name, text in [
+            ("iv.txt", f"co 0 {token}\n"),
+            ("iv.jsonl", '{"kind": "co", "lo": 0, "hi": %s}\n' % value),
+        ]:
+            assert main(["dgm", "line", write(tmp_path, name, text)]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].count("\n") == 1
+        assert len(errors[0].encode()) < 200
+        assert errors[0].endswith("... (5000 characters)\n")
+
     def test_json_lines_round_trip(self, tmp_path, capsys):
         path = write(tmp_path, "iv.txt", "cc 0.2 0.5\ncc 0.7 1.9\n")
         assert main(["dgm", "circle", path, "--format", "json-lines"]) == 0

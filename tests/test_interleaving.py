@@ -22,7 +22,6 @@ from circlepers import (
     interval_distance_line,
     is_interleaving_pair,
     loop_is_nilpotent,
-    max_direct_sum_bound_check,
     structure_map,
     to_grid,
     translate_basis,
@@ -31,6 +30,7 @@ from circlepers.gf2 import Matrix, identity
 from generators import random_on_grid_module
 from oracles import (
     as_array,
+    max_direct_sum_bound_check,
     np_feasible_interleaving,
     np_matmul,
     np_step_composite,
