@@ -233,7 +233,10 @@ def lift_module(m: CircleModule, window: int) -> LineModule:
 
 def diagram_of(m: CircleModule) -> QuotientDiagram:
     """Persistence diagram of a circle module: endpoint classes, kinds dropped."""
-    return QuotientDiagram(tuple(QuotientPoint(ival.lo, ival.hi) for ival in m.intervals))
+    # a list, not a generator: `tuple` resizes what a generator gives it,
+    # and such tuples pile up in the interpreter's free lists between full
+    # garbage collections, which the int bottleneck kernel makes rare
+    return QuotientDiagram(tuple([QuotientPoint(ival.lo, ival.hi) for ival in m.intervals]))
 
 
 def diagram_of_line(m: LineModule) -> Diagram:

@@ -159,7 +159,7 @@ def _diagram_rows(text: str) -> Iterator[tuple[int, Ext, Ext, int]]:
         except ValueError as exc:
             raise ParseError(line_no, f"bad multiplicity {quoted(multiplicity)}") from exc
         if multiplicity < 1:
-            raise ParseError(line_no, f"multiplicity must be positive, got {multiplicity}")
+            raise ParseError(line_no, f"multiplicity must be positive, got {quoted(multiplicity)}")
         yield line_no, a, b, multiplicity
 
 
@@ -271,7 +271,7 @@ def _matching_rows(text: str, n_a: int, n_b: int, shift_required: bool) -> list[
             raise ParseError(line_no, f"expected {forms}, got {quoted(line)}")
         numbers = tuple(_integer(v, line_no, record is None) for v in values)
         for side, index in zip(sides[tag], numbers):
-            where = f"{side} index {index}"
+            where = f"{side} index {quoted(index)}"
             if not 0 <= index < sizes[side]:
                 raise ParseError(
                     line_no, f"{where} out of range (diagram {side} has {sizes[side]} points)"

@@ -89,17 +89,13 @@ class PartialMatching:
             raise ValueError("B indices are not partitioned by the matching")
 
 
-def _coord_gap(x: Ext, y: Ext) -> Ext:
-    if not is_finite(x) and not is_finite(y):
-        return Fraction(0) if x == y else INF
-    if not is_finite(x) or not is_finite(y):
-        return INF
-    return abs(x - y)
-
-
 def linf(p: PlanePoint, q: PlanePoint) -> Ext:
     """Sup-distance of two plane points; coordinates at the same infinity count as 0."""
-    return max(_coord_gap(p.a, q.a), _coord_gap(p.b, q.b))
+    scale = common_denominator((p.a, p.b, q.a, q.b))
+    return unscaled(
+        _pair_cost(scaled(p.a, scale), scaled(p.b, scale), scaled(q.a, scale), scaled(q.b, scale)),
+        scale,
+    )
 
 
 def diag_cost(p: PlanePoint) -> Ext:
@@ -131,7 +127,9 @@ Cost = int | float
 
 def common_denominator(values) -> int:
     """The lcm of the denominators of the finite values among *values*."""
-    return math.lcm(*(x.denominator for x in values if is_finite(x)))
+    # a set, not a generator: each distinct denominator once, and the
+    # argument tuple is built at its final size (see `diagram_of`)
+    return math.lcm(*{x.denominator for x in values if is_finite(x)})
 
 
 def scaled(x: Ext, scale: int) -> int | float:
@@ -142,6 +140,12 @@ def scaled(x: Ext, scale: int) -> int | float:
 def unscaled(t: Cost, scale: int) -> Ext:
     """A kernel cost back in plane units: a Fraction, even for 0, or INF."""
     return INF if t == INF else Fraction(t, 2 * scale)
+
+
+def _pair_cost(x: Cost, y: Cost, u: Cost, v: Cost) -> Cost:
+    """Kernel cost of pairing scaled points (x, y) and (u, v): twice their
+    sup-gap, where coordinates at the same infinity are 0 apart."""
+    return 2 * max(0 if x == u else abs(x - u), 0 if y == v else abs(y - v))
 
 
 def _kuhn_matching(roots, n_right: int, adjacency) -> list[int] | None:
@@ -276,19 +280,15 @@ def bottleneck_plane(a: Diagram, b: Diagram) -> BottleneckResult:
     """Exact bottleneck distance between two plane diagrams, with a witness.
 
     Coordinates are scaled by their common denominator D, so every cost is
-    an int in units of 1/(2D): twice the sup-gap for a pair, where equal
-    infinities are 0 apart, and death minus birth for an unmatched point.
+    an int in units of 1/(2D): `_pair_cost` for a pair, the cost `linf`
+    unscales, and death minus birth for an unmatched point.
     """
-    scale = common_denominator(c for p in a.points + b.points for c in (p.a, p.b))
+    # both diagrams in place: a concatenated tuple on every call fragments
+    # the heap of a long-running process
+    scale = common_denominator(c for d in (a, b) for p in d.points for c in (p.a, p.b))
     points_a = [(scaled(p.a, scale), scaled(p.b, scale)) for p in a.points]
     points_b = [(scaled(q.a, scale), scaled(q.b, scale)) for q in b.points]
-    pair_costs = [
-        [
-            2 * max(0 if x == u else abs(x - u), 0 if y == v else abs(y - v))
-            for u, v in points_b
-        ]
-        for x, y in points_a
-    ]
+    pair_costs = [[_pair_cost(x, y, u, v) for u, v in points_b] for x, y in points_a]
     value, witness = solve_bottleneck(
         pair_costs, [y - x for x, y in points_a], [v - u for u, v in points_b]
     )

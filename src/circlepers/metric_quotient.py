@@ -78,7 +78,17 @@ def quotient_linf_with_shift(p: QuotientPoint, q: QuotientPoint) -> tuple[Fracti
     x = u.numerator * v.denominator
     y = v.numerator * u.denominator
     k = -((x + y + den) // (2 * den))  # ceil(c - 1/2)
-    return Fraction(abs(2 * k * den + x + y) + abs(x - y), 2 * den), k
+    return Fraction(_class_cost(x + y, x - y, den), 2 * den), k
+
+
+def _class_cost(sum_gap: int, pers_gap: int, scale: int) -> int:
+    """max(|u+k|, |v+k|) at the optimal k, in units of 1/(2 scale), for
+    u = x/scale and v = y/scale with sum_gap = x + y and pers_gap = x - y.
+
+    That is |2k scale + x + y| + |x - y| with k = -((x + y + scale) // (2 scale)),
+    and 2k scale + x + y = ((x + y + scale) mod 2 scale) - scale.
+    """
+    return abs((sum_gap + scale) % (2 * scale) - scale) + abs(pers_gap)
 
 
 def quotient_linf(p: QuotientPoint, q: QuotientPoint) -> Fraction:
@@ -105,24 +115,19 @@ def bottleneck_quotient(a: QuotientDiagram, b: QuotientDiagram) -> BottleneckRes
     """Exact bottleneck distance between quotient diagrams, with a witness.
 
     Same threshold search as the plane version, on coordinates scaled by
-    their common denominator D, with costs in units of 1/(2D).  A pair whose
-    scaled coordinate differences are u and v costs |2kD + u + v| + |u - v|
-    with k = -((u + v + D) // (2D)), the closed form of
-    `quotient_linf_with_shift`; 2kD + u + v is computed as
-    ((u + v + D) mod 2D) - D.  An unmatched class costs its scaled
-    persistence.
+    their common denominator D, with costs in units of 1/(2D).  A pair
+    costs `_class_cost`, the closed form `quotient_linf_with_shift`
+    unscales; an unmatched class costs its scaled persistence.
     """
-    scale = common_denominator(c for p in a.points + b.points for c in (p.a, p.b))
+    # both diagrams in place: a concatenated tuple on every call fragments
+    # the heap of a long-running process
+    scale = common_denominator(c for d in (a, b) for p in d.points for c in (p.a, p.b))
     # u + v is the difference of the two coordinate sums, and u - v that of
     # the two persistences, up to sign
     points_a = [(scaled(p.a + p.b, scale), scaled(p.persistence, scale)) for p in a.points]
     points_b = [(scaled(q.a + q.b, scale), scaled(q.persistence, scale)) for q in b.points]
-    period = 2 * scale
     pair_costs = [
-        [
-            abs((sum_p - sum_q + scale) % period - scale) + abs(pers_p - pers_q)
-            for sum_q, pers_q in points_b
-        ]
+        [_class_cost(sum_p - sum_q, pers_p - pers_q, scale) for sum_q, pers_q in points_b]
         for sum_p, pers_p in points_a
     ]
     value, witness = solve_bottleneck(

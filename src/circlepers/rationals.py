@@ -19,12 +19,13 @@ INF: float = math.inf
 NEG_INF: float = -math.inf
 
 
-def quoted(value, limit: int = 40) -> str:
-    """``repr(value)`` for an error message.  A longer string shows its first
-    *limit* characters and its length, so one bad token cannot flood stderr."""
-    if isinstance(value, str) and len(value) > limit:
-        return f"{value[:limit]!r}... ({len(value)} characters)"
-    return repr(value)
+def quoted(value) -> str:
+    """``repr(value)`` for an error message.  A repr over 40 characters shows
+    its first 40 and its length, so one bad token cannot flood stderr."""
+    text = repr(value)
+    if len(text) > 40:
+        return f"{text[:40]}... ({len(text)} characters)"
+    return text
 
 
 def is_finite(x: Ext) -> bool:

@@ -21,9 +21,17 @@ from circlepers import (
     QuotientPoint,
     bottleneck_plane,
     bottleneck_quotient,
+    linf,
+    quotient_linf,
 )
 from circlepers.metric_plane import _doubled_matching, _feasible
-from oracles import frozen_bottleneck_plane, frozen_bottleneck_quotient, frozen_matching_at
+from oracles import (
+    frozen_bottleneck_plane,
+    frozen_bottleneck_quotient,
+    frozen_linf,
+    frozen_matching_at,
+    frozen_quotient_linf,
+)
 
 F = Fraction
 
@@ -135,6 +143,23 @@ class TestAgainstFrozenFractionKernel:
         a = _plane_diagram(rng, 20, primes)
         b = _plane_diagram(rng, 20, primes)
         _assert_same(bottleneck_plane(a, b), frozen_bottleneck_plane(a, b))
+
+    def test_pair_distances(self):
+        # `linf` and `quotient_linf` unscale the kernel's own pair costs
+        rng = random.Random(2030)
+        for _ in range(150):
+            denominators = _denominators(rng)
+            for distance, frozen, diagram in [
+                (linf, frozen_linf, _plane_diagram),
+                (quotient_linf, frozen_quotient_linf, _quotient_diagram),
+            ]:
+                a = diagram(rng, 6, denominators)
+                b = diagram(rng, 6, denominators)
+                for p in a.points:
+                    for q in b.points:
+                        value, expected = distance(p, q), frozen(p, q)
+                        assert type(value) is type(expected)
+                        assert value == expected
 
 
 class TestMendelsohnDulmage:

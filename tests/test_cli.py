@@ -66,7 +66,7 @@ class TestDgm:
         assert errors[0] == errors[1]
         assert errors[0].count("\n") == 1
         assert len(errors[0].encode()) < 200
-        assert errors[0].endswith("... (5000 characters)\n")
+        assert errors[0].endswith("... (5002 characters)\n")
 
     def test_json_lines_round_trip(self, tmp_path, capsys):
         path = write(tmp_path, "iv.txt", "cc 0.2 0.5\ncc 0.7 1.9\n")
@@ -259,6 +259,26 @@ class TestTransfer:
             )
             == 2
         )
+
+    @pytest.mark.parametrize(
+        "matching, diagram",
+        [
+            ('{"unmatchedA": [%s]}\n' % ", ".join(["0"] * 100_000), "0.9 1.3\n"),
+            ("", '{"a": 0.9, "b": 1.3, "multiplicity": [%s]}\n' % ", ".join(["0"] * 100_000)),
+            ("unmatchedA %s\n" % ("1" * 4000), "0.9 1.3\n"),
+            ("", "0.9 1.3 -%s\n" % ("1" * 4000)),
+        ],
+        ids=["json-index", "json-multiplicity", "text-index", "text-multiplicity"],
+    )
+    def test_long_bad_matching_value_gives_one_short_line(self, tmp_path, capsys, matching, diagram):
+        a = write(tmp_path, "a.txt", diagram)
+        b = write(tmp_path, "b.txt", "0 0.4\n")
+        m = write(tmp_path, "m.txt", matching)
+        argv = ["transfer", "project", "--diagram-a", a, "--diagram-b", b, "--matching", m]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert len(err.encode()) < 200
 
 
 class TestParser:
