@@ -30,14 +30,14 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 
-def random_circle_module(rng: random.Random, grid: int, max_intervals: int = 3) -> CircleModule:
+def random_circle_module(rng: random.Random, grid: int) -> CircleModule:
     """Random on-grid circle module, as used by `verify-isometry`.
 
     Draw order (documented so runs are reproducible): interval count uniform
-    on 0..max_intervals, then per interval a start uniform on {0,...,grid-1}/grid
-    and a length uniform on {1,...,grid}/grid.  Intervals are closed-open.
+    on 0..3, then per interval a start uniform on {0,...,grid-1}/grid and a
+    length uniform on {1,...,grid}/grid.  Intervals are closed-open.
     """
-    count = rng.randint(0, max_intervals)
+    count = rng.randint(0, 3)
     intervals = []
     for _ in range(count):
         start = Fraction(rng.randrange(grid), grid)
@@ -119,40 +119,27 @@ def _cmd_verify_isometry(args) -> int:
         module_v = random_circle_module(rng, args.grid)
         module_w = random_circle_module(rng, args.grid)
         circle = interleaving_distance_circle(module_v, module_w)
+        record = {"trial": trial, "circle": format_ratio(circle)}
         try:
             grid_value = bruteforce_distance(
                 to_grid(module_v, args.grid), to_grid(module_w, args.grid), args.budget
             )
         except BudgetExceeded:
             exhausted += 1
-            if args.format == "json-lines":
-                lines.append(json.dumps({"trial": trial, "circle": format_ratio(circle), "status": "budget-exhausted"}))
-            else:
-                lines.append(f"trial {trial}: circle={format_ratio(circle)} budget-exhausted")
-            continue
-        gap = abs(grid_value - circle)
-        worst = max(worst, gap)
-        status = "ok"
-        if gap > bound:
-            violations += 1
-            status = "violation"
-        if args.format == "json-lines":
-            lines.append(
-                json.dumps(
-                    {
-                        "trial": trial,
-                        "circle": format_ratio(circle),
-                        "grid": format_ratio(grid_value),
-                        "discrepancy": format_ratio(gap),
-                        "status": status,
-                    }
-                )
-            )
+            record["status"] = "budget-exhausted"
         else:
-            lines.append(
-                f"trial {trial}: circle={format_ratio(circle)} grid={format_ratio(grid_value)} "
-                f"discrepancy={format_ratio(gap)} {status}"
-            )
+            gap = abs(grid_value - circle)
+            worst = max(worst, gap)
+            status = "ok"
+            if gap > bound:
+                violations += 1
+                status = "violation"
+            record.update(grid=format_ratio(grid_value), discrepancy=format_ratio(gap), status=status)
+        if args.format == "json-lines":
+            lines.append(json.dumps(record))
+        else:
+            _, *fields, (_, status) = record.items()
+            lines.append(f"trial {trial}: " + " ".join(f"{k}={v}" for k, v in fields) + f" {status}")
     if args.format == "json-lines":
         lines.append(
             json.dumps(

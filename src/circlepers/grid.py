@@ -9,11 +9,10 @@ brute-force interleaving search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import gf2
 from .gf2 import Matrix
-from .intervals import CircleModule, translate_basis
+from .intervals import CircleModule, _label_map, _members
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,10 +40,11 @@ def to_grid(m: CircleModule, n: int) -> GridModule:
 
     Every interval endpoint must be an integer multiple of 1/N; off-grid
     endpoints are rejected rather than snapped, so the discretisation is
-    exact on its own instances.  A basis vector lives at node j exactly when
-    the sample point j/N falls in the corresponding interval translate
-    (endpoint kinds respected), and the step matrices are the structure maps
-    between consecutive nodes in those bases.
+    exact on its own instances.  Positions are integers p in units of 1/N:
+    an interval holds those between its scaled endpoints (endpoint kinds
+    respected), each a basis vector at node p mod N, ordered by interval and
+    then translate.  A step sends position p to p + 1, across the seam too,
+    so the step matrices are the structure maps between consecutive nodes.
     """
     if n < 2:
         raise ValueError("grid resolution must be at least 2")
@@ -55,25 +55,15 @@ def to_grid(m: CircleModule, n: int) -> GridModule:
                     f"interval endpoint {endpoint} is not a multiple of 1/{n}"
                 )
 
-    node_basis = [translate_basis(m, Fraction(j, n)) for j in range(n)]
-    steps = []
-    for j in range(n):
-        target = (j + 1) % n
-        # stepping off node N-1 crosses the fundamental-domain seam, which
-        # advances the translate index by one
-        bump = 1 if j == n - 1 else 0
-        source_pos = {label: c for c, label in enumerate(node_basis[j])}
-        rows = []
-        for idx, k in node_basis[target]:
-            c = source_pos.get((idx, k - bump))
-            rows.append(0 if c is None else 1 << c)
-        steps.append(Matrix(tuple(rows), len(node_basis[j])))
-
-    return GridModule(
-        resolution=n,
-        dims=tuple(len(labels) for labels in node_basis),
-        steps=tuple(steps),
+    fibers = [[] for _ in range(n)]
+    for idx, ival in enumerate(m.intervals):
+        for p in _members(ival.lo * n, ival.hi * n, ival.lo_kind, ival.hi_kind):
+            fibers[p % n].append((idx, p))
+    steps = tuple(
+        _label_map([(idx, p + 1) for idx, p in fibers[j]], fibers[(j + 1) % n])
+        for j in range(n)
     )
+    return GridModule(n, tuple(len(labels) for labels in fibers), steps)
 
 
 def direct_sum(a: GridModule, b: GridModule) -> GridModule:

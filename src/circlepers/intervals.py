@@ -16,7 +16,7 @@ from fractions import Fraction
 from .gf2 import Matrix
 from .metric_plane import Diagram, PlanePoint
 from .metric_quotient import QuotientDiagram, QuotientPoint
-from .rationals import NEG_INF, INF, Ext, as_ext, as_fraction, is_finite
+from .rationals import NEG_INF, INF, Ext, as_ext, as_fraction, clipped, is_finite
 
 
 class EndpointKind(Enum):
@@ -56,7 +56,9 @@ class LineInterval:
         object.__setattr__(self, "lo", as_ext(self.lo))
         object.__setattr__(self, "hi", as_ext(self.hi))
         if self.lo > self.hi:
-            raise ValueError(f"interval endpoints out of order: {self.lo} > {self.hi}")
+            raise ValueError(
+                f"interval endpoints out of order: {clipped(self.lo)} > {clipped(self.hi)}"
+            )
         if self.lo == INF or self.hi == NEG_INF:
             raise ValueError("interval cannot sit at a single infinity")
         if not is_finite(self.lo) and self.lo_kind is not OPEN:
@@ -105,7 +107,7 @@ class CircleInterval:
         lo = as_fraction(self.lo)
         hi = as_fraction(self.hi)
         if lo > hi:
-            raise ValueError(f"interval endpoints out of order: {lo} > {hi}")
+            raise ValueError(f"interval endpoints out of order: {clipped(lo)} > {clipped(hi)}")
         shift = math.floor(lo)
         object.__setattr__(self, "lo", lo - shift)
         object.__setattr__(self, "hi", hi - shift)
@@ -148,14 +150,22 @@ class CircleModule:
             self, "intervals", tuple(sorted(self.intervals, key=_sort_key))
         )
 
-def _translate_range(ival: CircleInterval, x: Fraction) -> range:
-    # the integers k with x + k in the canonical representative: lo - x <= k
-    # <= hi - x, with the inequality made strict at an open end
-    lo_gap = ival.lo - x
-    hi_gap = ival.hi - x
-    first = math.floor(lo_gap) + 1 if ival.lo_kind is OPEN else math.ceil(lo_gap)
-    last = math.ceil(hi_gap) - 1 if ival.hi_kind is OPEN else math.floor(hi_gap)
+
+def _members(lo, hi, lo_kind: EndpointKind, hi_kind: EndpointKind) -> range:
+    # the integers in |lo, hi|: lo <= k <= hi, made strict at an open end
+    first = math.floor(lo) + 1 if lo_kind is OPEN else math.ceil(lo)
+    last = math.ceil(hi) - 1 if hi_kind is OPEN else math.floor(hi)
     return range(first, last + 1)
+
+
+def _label_map(source: list, target: list) -> Matrix:
+    # the 0/1 matrix that sends each source label to the equal target label
+    position = {label: c for c, label in enumerate(source)}
+    rows = []
+    for label in target:
+        c = position.get(label)
+        rows.append(0 if c is None else 1 << c)
+    return Matrix(tuple(rows), len(source))
 
 
 def translate_basis(m: CircleModule, x) -> list[tuple[int, int]]:
@@ -167,7 +177,9 @@ def translate_basis(m: CircleModule, x) -> list[tuple[int, int]]:
     """
     x = as_fraction(x)
     return [
-        (idx, k) for idx, ival in enumerate(m.intervals) for k in _translate_range(ival, x)
+        (idx, k)
+        for idx, ival in enumerate(m.intervals)
+        for k in _members(ival.lo - x, ival.hi - x, ival.lo_kind, ival.hi_kind)
     ]
 
 
@@ -205,14 +217,7 @@ def structure_map(m: CircleModule, x, y) -> Matrix:
         raise ValueError(
             f"no class order across an arc of length {y - x} >= 1/2"
         )
-    source = translate_basis(m, x)
-    target = translate_basis(m, y)
-    source_pos = {label: c for c, label in enumerate(source)}
-    rows = []
-    for label in target:
-        c = source_pos.get(label)
-        rows.append(0 if c is None else 1 << c)
-    return Matrix(tuple(rows), len(source))
+    return _label_map(translate_basis(m, x), translate_basis(m, y))
 
 
 def lift_module(m: CircleModule, window: int) -> LineModule:

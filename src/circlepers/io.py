@@ -28,7 +28,7 @@ from .intervals import (
 from .matching_transfer import InvariantMatching, OrbitPair
 from .metric_plane import Diagram, PartialMatching, PlanePoint
 from .metric_quotient import QuotientDiagram, QuotientPoint
-from .rationals import Ext, format_number, is_finite, parse_number, quoted
+from .rationals import Ext, clipped, format_number, is_finite, parse_number, quoted
 
 
 class ParseError(ValueError):
@@ -180,9 +180,8 @@ def read_quotient_diagram(text: str, canonicalize: bool = True) -> QuotientDiagr
         if not is_finite(a) or not is_finite(b):
             raise ParseError(line_no, "quotient diagram points must be finite")
         if not canonicalize and not 0 <= a < 1:
-            raise ParseError(
-                line_no, f"point ({format_number(a)}, {format_number(b)}) is not canonical"
-            )
+            shown = ", ".join(clipped(format_number(v)) for v in (a, b))
+            raise ParseError(line_no, f"point ({shown}) is not canonical")
         try:
             point = QuotientPoint(a, b)
         except ValueError as exc:

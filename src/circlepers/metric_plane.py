@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .rationals import NEG_INF, INF, Ext, as_ext, is_finite
+from .rationals import NEG_INF, INF, Ext, as_ext, clipped, is_finite
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class PlanePoint:
         object.__setattr__(self, "a", as_ext(self.a))
         object.__setattr__(self, "b", as_ext(self.b))
         if self.a > self.b:
-            raise ValueError(f"birth exceeds death: ({self.a}, {self.b})")
+            raise ValueError(f"birth exceeds death: ({clipped(self.a)}, {clipped(self.b)})")
         if not is_finite(self.a) and not is_finite(self.b) and self.a == self.b:
             raise ValueError("point cannot have both coordinates at the same infinity")
 

@@ -22,7 +22,7 @@ from .metric_plane import (
     solve_bottleneck,
     unscaled,
 )
-from .rationals import as_fraction
+from .rationals import as_fraction, clipped
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class QuotientPoint:
         a = as_fraction(self.a)
         b = as_fraction(self.b)
         if a > b:
-            raise ValueError(f"birth exceeds death: ({a}, {b})")
+            raise ValueError(f"birth exceeds death: ({clipped(a)}, {clipped(b)})")
         shift = math.floor(a)
         object.__setattr__(self, "a", a - shift)
         object.__setattr__(self, "b", b - shift)

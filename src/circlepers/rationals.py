@@ -19,13 +19,18 @@ INF: float = math.inf
 NEG_INF: float = -math.inf
 
 
-def quoted(value) -> str:
-    """``repr(value)`` for an error message.  A repr over 40 characters shows
-    its first 40 and its length, so one bad token cannot flood stderr."""
-    text = repr(value)
+def clipped(value) -> str:
+    """``str(value)`` for an error message.  A text over 40 characters shows
+    its first 40 and its length, so one long value cannot flood stderr."""
+    text = str(value)
     if len(text) > 40:
         return f"{text[:40]}... ({len(text)} characters)"
     return text
+
+
+def quoted(value) -> str:
+    """``repr(value)`` for an error message, clipped like :func:`clipped`."""
+    return clipped(repr(value))
 
 
 def is_finite(x: Ext) -> bool:

@@ -2,9 +2,9 @@
 
 Most of it works by definition-level enumeration: all partial matchings,
 all integer translates in a window, and so on.  The rest are kernels frozen
-as they were before a faster one replaced them: the numpy grid search and
-the `Fraction` bottleneck search.  None of it shares code with the
-algorithmic paths it is used to verify.
+as they were before a faster one replaced them: the numpy grid search, the
+`Fraction` grid sampler and the `Fraction` bottleneck search.  None of it
+shares code with the algorithmic paths it is used to verify.
 """
 
 from __future__ import annotations
@@ -16,7 +16,16 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from circlepers import CLOSED, CircleInterval, LineInterval, bruteforce_distance, direct_sum
+from circlepers import (
+    CLOSED,
+    OPEN,
+    CircleInterval,
+    GridModule,
+    LineInterval,
+    bruteforce_distance,
+    direct_sum,
+)
+from circlepers.gf2 import Matrix
 from circlepers.interleaving import DEFAULT_BUDGET
 from circlepers.metric_plane import PartialMatching, PlanePoint
 from circlepers.metric_quotient import QuotientPoint
@@ -298,6 +307,61 @@ def max_direct_sum_bound_check(v1, w1, v2, w2, budget: int = DEFAULT_BUDGET) -> 
     d2 = bruteforce_distance(v2, w2, budget)
     d_sum = bruteforce_distance(direct_sum(v1, v2), direct_sum(w1, w2), budget)
     return d_sum <= max(d1, d2)
+
+
+# -- the Fraction grid sampler, frozen as the reference ----------------------
+#
+# `to_grid` as it was before it sampled integer positions: one
+# `translate_basis` per node at j/N, a label-matching loop per step, and a
+# translate bump on the step across the seam.  The library must give the
+# same dims and the same step matrices.
+
+
+def _frozen_translate_range(ival, x: Fraction) -> range:
+    # the integers k with x + k in the canonical representative: lo - x <= k
+    # <= hi - x, with the inequality made strict at an open end
+    lo_gap = ival.lo - x
+    hi_gap = ival.hi - x
+    first = math.floor(lo_gap) + 1 if ival.lo_kind is OPEN else math.ceil(lo_gap)
+    last = math.ceil(hi_gap) - 1 if ival.hi_kind is OPEN else math.floor(hi_gap)
+    return range(first, last + 1)
+
+
+def frozen_translate_basis(m, x: Fraction) -> list[tuple[int, int]]:
+    return [
+        (idx, k) for idx, ival in enumerate(m.intervals) for k in _frozen_translate_range(ival, x)
+    ]
+
+
+def frozen_to_grid(m, n: int) -> GridModule:
+    if n < 2:
+        raise ValueError("grid resolution must be at least 2")
+    for ival in m.intervals:
+        for endpoint in (ival.lo, ival.hi):
+            if (endpoint * n).denominator != 1:
+                raise ValueError(
+                    f"interval endpoint {endpoint} is not a multiple of 1/{n}"
+                )
+
+    node_basis = [frozen_translate_basis(m, Fraction(j, n)) for j in range(n)]
+    steps = []
+    for j in range(n):
+        target = (j + 1) % n
+        # stepping off node N-1 crosses the fundamental-domain seam, which
+        # advances the translate index by one
+        bump = 1 if j == n - 1 else 0
+        source_pos = {label: c for c, label in enumerate(node_basis[j])}
+        rows = []
+        for idx, k in node_basis[target]:
+            c = source_pos.get((idx, k - bump))
+            rows.append(0 if c is None else 1 << c)
+        steps.append(Matrix(tuple(rows), len(node_basis[j])))
+
+    return GridModule(
+        resolution=n,
+        dims=tuple(len(labels) for labels in node_basis),
+        steps=tuple(steps),
+    )
 
 
 # -- the Fraction bottleneck kernel, frozen as the reference -----------------

@@ -13,6 +13,7 @@ from circlepers import io as fileio
 from circlepers.cli import main
 
 F = Fraction
+LONG = "1" * 4000
 
 
 def write(tmp_path, name, text):
@@ -291,6 +292,26 @@ class TestParser:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["dgm", "line"], f"co {LONG} 0\n"),
+            (["dgm", "circle"], f"co {LONG} 0\n"),
+            (["distance", "bottleneck"], f"{LONG} 0\n"),
+            (["distance", "bottleneck-q"], f"{LONG} 0\n"),
+            (["distance", "bottleneck-q", "--no-canonicalize"], f"{LONG}.5 {LONG}.75\n"),
+        ],
+        ids=["dgm-line", "dgm-circle", "bottleneck", "bottleneck-q", "not-canonical"],
+    )
+    def test_long_bad_value_gives_one_short_line(self, tmp_path, capsys, argv, text):
+        path = write(tmp_path, "in.txt", text)
+        files = [path] if argv[0] == "dgm" else [path, path]
+        assert main(argv[:2] + files + argv[2:]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert len(err.encode()) < 200
+        assert "characters)" in err
+
     def test_unexpected_exception_exits_3(self, tmp_path, capsys, monkeypatch):
         def broken(args):
             raise RuntimeError("boom")

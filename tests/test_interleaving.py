@@ -27,9 +27,10 @@ from circlepers import (
     translate_basis,
 )
 from circlepers.gf2 import Matrix, identity
-from generators import random_on_grid_module
+from generators import KIND_PAIRS, random_on_grid_module
 from oracles import (
     as_array,
+    frozen_to_grid,
     max_direct_sum_bound_check,
     np_feasible_interleaving,
     np_matmul,
@@ -70,6 +71,25 @@ class TestToGrid:
             for j in range(8):
                 expected = structure_map(m, F(j, 8), F(j + 1, 8))
                 assert g.steps[j].tolist() == expected.tolist()
+
+    def test_matches_the_frozen_sampler(self):
+        # every grid from 2 up: grid 2 steps across an arc of 1/2, which
+        # `structure_map` rejects, so only the frozen sampler covers it
+        rng = random.Random(2412)
+        for n in range(2, 17):
+            for trial in range(150):
+                intervals = []
+                for _ in range(rng.randint(0, 4)):
+                    start = rng.randint(-2 * n, 2 * n)
+                    # 0 is a singleton; n is exactly one turn
+                    length = rng.choice([0, n, rng.randint(1, 2 * n + 1)])
+                    kinds = (CLOSED, CLOSED) if length == 0 else rng.choice(KIND_PAIRS)
+                    intervals.append(CircleInterval(F(start, n), F(start + length, n), *kinds))
+                m = CircleModule(tuple(intervals))
+                g, frozen = to_grid(m, n), frozen_to_grid(m, n)
+                assert g.dims == frozen.dims, (n, trial)
+                assert [step.rows for step in g.steps] == [step.rows for step in frozen.steps], (n, trial)
+                assert [step.cols for step in g.steps] == [step.cols for step in frozen.steps], (n, trial)
 
     def test_loop_is_nilpotent_on_hand_built_loops(self):
         # two nodes; the step out of node 1 sets the loop map at node 0
