@@ -175,7 +175,7 @@ def _cmd_transfer(args) -> int:
         lifted = lift_matching(diagram_a, diagram_b, quotient_matching)
         quotient_cost = matching_cost_quotient(diagram_a, diagram_b, quotient_matching)
         plane_cost = invariant_cost(lifted)
-        _emit(fileio.write_invariant_matching(lifted), args.output)
+        _emit(fileio.write_invariant_matching(lifted, args.format), args.output)
         ok = plane_cost == quotient_cost
         report = {
             "direction": "lift",
@@ -188,7 +188,7 @@ def _cmd_transfer(args) -> int:
         projected = project_matching(orbit_matching)
         plane_cost = invariant_cost(orbit_matching)
         quotient_cost = matching_cost_quotient(diagram_a, diagram_b, projected)
-        _emit(fileio.write_partial_matching(projected), args.output)
+        _emit(fileio.write_partial_matching(projected, args.format), args.output)
         ok = quotient_cost <= plane_cost
         report = {
             "direction": "project",
@@ -275,9 +275,6 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except fileio.ParseError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
     except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT

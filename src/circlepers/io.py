@@ -6,9 +6,9 @@ Matchings: `pair i j [k]`, `unmatchedA i`, `unmatchedB j` lines.
 `#` starts a comment anywhere; blank lines are ignored; values are decimal
 rationals or p/q, with `-inf`/`inf` allowed where infinities make sense.
 In every file, lines that start with `{` are parsed as json-lines records
-with the same fields (a matching pair is `{"pair": [i, j], "shift": k}`),
-so json output feeds back into the same parsers.  A malformed value is a
-`ParseError` that names its line.
+with the same fields and no others (a matching pair is `{"pair": [i, j],
+"shift": k}`), so json output feeds back into the same parsers.  A
+malformed value is a `ParseError` that names its line.
 """
 
 from __future__ import annotations
@@ -62,7 +62,9 @@ class _JsonInt(str):
 _JSON_DECODER = json.JSONDecoder(parse_float=str, parse_int=_JsonInt)
 
 
-def _json_record(line: str, line_no: int) -> dict | None:
+def _json_record(line: str, line_no: int, fields: tuple[str, ...] = ()) -> dict | None:
+    """The json record on *line*, or None for a text line; with *fields*, a
+    field outside them is an error."""
     if not line.startswith("{"):
         return None
     try:
@@ -71,6 +73,9 @@ def _json_record(line: str, line_no: int) -> dict | None:
         raise ParseError(line_no, f"bad json record: {exc}") from exc
     if not isinstance(record, dict):
         raise ParseError(line_no, "json record must be an object")
+    unknown = [name for name in record if name not in fields]
+    if fields and unknown:
+        raise ParseError(line_no, f"unknown field {quoted(unknown[0])} (use {', '.join(fields)})")
     return record
 
 
@@ -79,7 +84,7 @@ def _json_record(line: str, line_no: int) -> dict | None:
 
 def _interval_rows(text: str) -> Iterator[tuple[int, str, Ext, Ext]]:
     for line_no, line in _data_lines(text):
-        record = _json_record(line, line_no)
+        record = _json_record(line, line_no, ("kind", "lo", "hi"))
         if record is not None:
             try:
                 kind = str(record["kind"])
@@ -136,7 +141,7 @@ def write_line_module(m: LineModule) -> str:
 
 def _diagram_rows(text: str) -> Iterator[tuple[int, Ext, Ext, int]]:
     for line_no, line in _data_lines(text):
-        record = _json_record(line, line_no)
+        record = _json_record(line, line_no, ("a", "b", "multiplicity"))
         if record is not None:
             try:
                 a = _parse_value(str(record["a"]), line_no)

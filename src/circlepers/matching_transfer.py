@@ -115,7 +115,7 @@ def lift_matching(
     """
     matching.validate_for(len(a.points), len(b.points))
     orbit_pairs = set()
-    for i, j in sorted(matching.pairs):
+    for i, j in matching.pairs:
         _, k = quotient_linf_with_shift(a.points[i], b.points[j])
         # the class distance is linf(p.representative(k), q.representative(0)),
         # and an orbit pair at shift -k matches exactly those representatives

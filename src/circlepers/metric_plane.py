@@ -185,12 +185,13 @@ def _kuhn_matching(roots, n_right: int, adjacency) -> list[int] | None:
     return match_right
 
 
-def _covers(rows: list[list[Cost]], diag: list[Cost], n_right: int, t: Cost) -> bool:
-    """Whether every point whose unmatched cost exceeds t matches into the
-    other diagram along pairs of cost <= t (row i holds point i's costs)."""
+def _covers(rows: list[list[Cost]], diag: list[Cost], n_right: int, t: Cost) -> list[int] | None:
+    """A matching, right -> left or None, of the points of unmatched cost > t
+    into the other diagram along pairs of cost <= t (row i holds point i's
+    costs; roots in index order, their candidates ascending)."""
     must = [i for i, d in enumerate(diag) if d > t]
     adjacency = {i: [j for j, c in enumerate(rows[i]) if c <= t] for i in must}
-    return _kuhn_matching(must, n_right, adjacency) is not None
+    return _kuhn_matching(must, n_right, adjacency)
 
 
 def _feasible(pair_costs, columns, diag_a, diag_b, t: Cost) -> bool:
@@ -201,36 +202,46 @@ def _feasible(pair_costs, columns, diag_a, diag_b, t: Cost) -> bool:
     cost > t and one that covers B's combine into one that covers both, so
     two one-sided matchings on the plain A x B graph decide it.
     """
-    return _covers(pair_costs, diag_a, len(diag_b), t) and _covers(
-        columns, diag_b, len(diag_a), t
+    return _covers(pair_costs, diag_a, len(diag_b), t) is not None and (
+        _covers(columns, diag_b, len(diag_a), t) is not None
     )
 
 
-def _doubled_matching(pair_costs, diag_a, diag_b, t: Cost) -> list[int] | None:
-    """The perfect matching at t on the doubled graph, right -> left, or None.
+def _witness(pair_costs, columns, diag_a, diag_b, t: Cost) -> PartialMatching:
+    """The witness at a feasible t, built from the two covers of `_feasible`.
 
-    Every point gets a diagonal surrogate: left is A's points then B's
-    surrogates, right is B's points then A's surrogates.  Point-point edges
-    need pair cost <= t, point-surrogate edges need unmatched cost <= t,
-    and surrogate-surrogate edges are free.
+    1. M is the cover of A's points of unmatched cost > t into B.
+    2. C is the cover of B's such points into A.
+    3. Walk the B points j in ascending order.  If M leaves j uncovered and
+       C pairs j with an A point i, give j to i in M; the B point that i
+       gives up continues the walk.
+    4. Pair each A point still unmatched, in ascending order, with the
+       first unmatched B point within t.
+    The result costs <= t, covers every point of unmatched cost > t, and
+    leaves no unmatched pair within t.
     """
     n_a = len(diag_a)
     n_b = len(diag_b)
-    adjacency: list[list[int]] = []
-    for i in range(n_a):
-        row = [j for j in range(n_b) if pair_costs[i][j] <= t]
-        if diag_a[i] <= t:
-            row.append(n_b + i)
-        adjacency.append(row)
+    b_to_a = _covers(pair_costs, diag_a, n_b, t)
+    a_to_b = [-1] * n_a
+    for j, i in enumerate(b_to_a):
+        if i != -1:
+            a_to_b[i] = j
+    cover_b = {j: i for i, j in enumerate(_covers(columns, diag_b, n_a, t)) if j != -1}
     for j in range(n_b):
-        # surrogate-surrogate edges first, so a B surrogate only claims its
-        # real point when no A surrogate is left; ties then favour witnesses
-        # that keep point-point pairs matched
-        row = [n_b + i for i in range(n_a)]
-        if diag_b[j] <= t:
-            row.append(j)
-        adjacency.append(row)
-    return _kuhn_matching(range(n_a + n_b), n_a + n_b, adjacency)
+        while j != -1 and b_to_a[j] == -1 and j in cover_b:
+            i = cover_b[j]
+            # j moves on to the B point that i gives up
+            b_to_a[j], a_to_b[i], j = i, j, a_to_b[i]
+            if j != -1:
+                b_to_a[j] = -1
+    for i in range(n_a):
+        if a_to_b[i] == -1:
+            for j in range(n_b):
+                if b_to_a[j] == -1 and pair_costs[i][j] <= t:
+                    a_to_b[i], b_to_a[j] = j, i
+                    break
+    return PartialMatching.from_pairs(((i, j) for i, j in enumerate(a_to_b) if j != -1), n_a, n_b)
 
 
 def solve_bottleneck(
@@ -243,15 +254,13 @@ def solve_bottleneck(
     The optimum is the smallest feasible member of the finite candidate set
     (all table entries and 0).  Feasibility is monotone in the threshold, so
     a binary search finds it with the Mendelsohn-Dulmage test of
-    `_feasible`; the witness is the doubled-graph matching at the optimum.
+    `_feasible`; `_witness` builds the witness from the same two covers.
     """
-    n_a = len(diag_a)
-    n_b = len(diag_b)
     candidates = {0, *diag_a, *diag_b}
     for row in pair_costs:
         candidates.update(row)
     ordered = sorted(candidates)
-    columns = [[row[j] for row in pair_costs] for j in range(n_b)]
+    columns = [[row[j] for row in pair_costs] for j in range(len(diag_b))]
 
     # the largest candidate is always feasible
     lo = bisect.bisect_left(
@@ -260,20 +269,7 @@ def solve_bottleneck(
         hi=len(ordered) - 1,
         key=lambda t: _feasible(pair_costs, columns, diag_a, diag_b, t),
     )
-    best = _doubled_matching(pair_costs, diag_a, diag_b, ordered[lo])
-    assert best is not None
-
-    pairs = set()
-    unmatched_b = set()
-    for j in range(n_b):
-        u = best[j]
-        if u < n_a:
-            pairs.add((u, j))
-        else:
-            unmatched_b.add(j)
-    unmatched_a = {i for i in range(n_a) if best[n_b + i] == i}
-    witness = PartialMatching(frozenset(pairs), frozenset(unmatched_a), frozenset(unmatched_b))
-    return BottleneckResult(ordered[lo], witness)
+    return BottleneckResult(ordered[lo], _witness(pair_costs, columns, diag_a, diag_b, ordered[lo]))
 
 
 def bottleneck_plane(a: Diagram, b: Diagram) -> BottleneckResult:

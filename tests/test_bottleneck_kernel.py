@@ -1,10 +1,11 @@
 """The scaled-integer bottleneck kernel against the frozen `Fraction` kernel.
 
 `bottleneck_plane` and `bottleneck_quotient` must return the same value,
-type included (a `Fraction`, or INF), and the same witness as the
-doubled-graph search on `Fraction` cost tables frozen in `oracles`.  The
-Mendelsohn-Dulmage threshold test must agree with the doubled graph at
-every candidate threshold.
+type included (a `Fraction`, or INF), as the doubled-graph search on
+`Fraction` cost tables frozen in `oracles`.  Their witness must cost exactly
+that value, match every point whose unmatched cost exceeds it, and leave no
+unmatched pair within it.  The Mendelsohn-Dulmage threshold test must agree
+with the frozen doubled graph at every candidate threshold.
 """
 
 from __future__ import annotations
@@ -21,10 +22,14 @@ from circlepers import (
     QuotientPoint,
     bottleneck_plane,
     bottleneck_quotient,
+    diag_cost,
+    diag_cost_quotient,
     linf,
+    matching_cost,
+    matching_cost_quotient,
     quotient_linf,
 )
-from circlepers.metric_plane import _doubled_matching, _feasible
+from circlepers.metric_plane import _feasible
 from oracles import (
     frozen_bottleneck_plane,
     frozen_bottleneck_quotient,
@@ -81,11 +86,29 @@ def _denominators(rng: random.Random) -> list[int]:
     return [rng.choice([2, 4, 8])] if rng.random() < 0.5 else rng.sample(COPRIME, 4)
 
 
-def _assert_same(result, frozen):
-    value, witness = frozen
+def _assert_optimal(result, frozen, a, b):
+    """The frozen value, and a witness that certifies it and is maximal."""
+    value, _ = frozen
     assert type(result.value) is type(value)
     assert result.value == value
-    assert result.witness == witness
+    if isinstance(a, QuotientDiagram):
+        cost, unmatched, pair = matching_cost_quotient, diag_cost_quotient, quotient_linf
+    else:
+        cost, unmatched, pair = matching_cost, diag_cost, linf
+    witness = result.witness
+    witness_cost = cost(a, b, witness)
+    assert type(witness_cost) is type(value)
+    assert witness_cost == value
+    for points, matched in [
+        (a.points, {i for i, _ in witness.pairs}),
+        (b.points, {j for _, j in witness.pairs}),
+    ]:
+        assert all(k in matched for k, p in enumerate(points) if unmatched(p) > value)
+    assert not any(
+        pair(a.points[i], b.points[j]) <= value
+        for i in witness.unmatched_a
+        for j in witness.unmatched_b
+    )
 
 
 class TestAgainstFrozenFractionKernel:
@@ -97,7 +120,7 @@ class TestAgainstFrozenFractionKernel:
             a = _plane_diagram(rng, 8, denominators)
             b = a if trial % 20 == 0 else _plane_diagram(rng, 8, denominators)
             result = bottleneck_plane(a, b)
-            _assert_same(result, frozen_bottleneck_plane(a, b))
+            _assert_optimal(result, frozen_bottleneck_plane(a, b), a, b)
             infinite += result.value == INF
         # essential class counts differ often enough to give infinite values
         assert infinite > 50
@@ -108,7 +131,7 @@ class TestAgainstFrozenFractionKernel:
             denominators = _denominators(rng)
             a = _quotient_diagram(rng, 8, denominators)
             b = a if trial % 20 == 0 else _quotient_diagram(rng, 8, denominators)
-            _assert_same(bottleneck_quotient(a, b), frozen_bottleneck_quotient(a, b))
+            _assert_optimal(bottleneck_quotient(a, b), frozen_bottleneck_quotient(a, b), a, b)
 
     def test_larger_diagrams(self):
         rng = random.Random(2028)
@@ -116,22 +139,22 @@ class TestAgainstFrozenFractionKernel:
             denominators = _denominators(rng)
             a = _quotient_diagram(rng, 60, denominators)
             b = _quotient_diagram(rng, 60, denominators)
-            _assert_same(bottleneck_quotient(a, b), frozen_bottleneck_quotient(a, b))
+            _assert_optimal(bottleneck_quotient(a, b), frozen_bottleneck_quotient(a, b), a, b)
             a = _plane_diagram(rng, 40, denominators)
             b = _plane_diagram(rng, 40, denominators)
-            _assert_same(bottleneck_plane(a, b), frozen_bottleneck_plane(a, b))
+            _assert_optimal(bottleneck_plane(a, b), frozen_bottleneck_plane(a, b), a, b)
 
     def test_empty_and_identical(self):
         empty = Diagram(())
         point = Diagram((PlanePoint(F(1, 3), F(5, 7)),))
         for a, b in [(empty, empty), (point, empty), (empty, point), (point, point)]:
-            _assert_same(bottleneck_plane(a, b), frozen_bottleneck_plane(a, b))
+            _assert_optimal(bottleneck_plane(a, b), frozen_bottleneck_plane(a, b), a, b)
         zero = bottleneck_plane(point, point).value
         assert type(zero) is Fraction and zero == 0
         q_empty = QuotientDiagram(())
         q_point = QuotientDiagram((QuotientPoint(F(1, 3), F(5, 7)),))
         for a, b in [(q_empty, q_empty), (q_point, q_empty), (q_empty, q_point), (q_point, q_point)]:
-            _assert_same(bottleneck_quotient(a, b), frozen_bottleneck_quotient(a, b))
+            _assert_optimal(bottleneck_quotient(a, b), frozen_bottleneck_quotient(a, b), a, b)
         assert type(bottleneck_quotient(q_empty, q_empty).value) is Fraction
 
     def test_large_common_denominator(self):
@@ -139,10 +162,10 @@ class TestAgainstFrozenFractionKernel:
         primes = [101, 103, 107, 109, 113, 127, 131, 137, 139, 149]
         a = _quotient_diagram(rng, 20, primes)
         b = _quotient_diagram(rng, 20, primes)
-        _assert_same(bottleneck_quotient(a, b), frozen_bottleneck_quotient(a, b))
+        _assert_optimal(bottleneck_quotient(a, b), frozen_bottleneck_quotient(a, b), a, b)
         a = _plane_diagram(rng, 20, primes)
         b = _plane_diagram(rng, 20, primes)
-        _assert_same(bottleneck_plane(a, b), frozen_bottleneck_plane(a, b))
+        _assert_optimal(bottleneck_plane(a, b), frozen_bottleneck_plane(a, b), a, b)
 
     def test_pair_distances(self):
         # `linf` and `quotient_linf` unscale the kernel's own pair costs
@@ -179,7 +202,6 @@ class TestMendelsohnDulmage:
             candidates = {0, *diag_a, *diag_b, *(c for row in pair_costs for c in row)}
             for t in sorted(candidates):
                 md = _feasible(pair_costs, columns, diag_a, diag_b, t)
-                assert md == (_doubled_matching(pair_costs, diag_a, diag_b, t) is not None)
                 assert md == (frozen_matching_at(pair_costs, diag_a, diag_b, t) is not None)
                 infeasible += not md
         assert infeasible > 1000

@@ -51,6 +51,13 @@ class TestDgm:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["dgm", "circle", str(tmp_path / "absent.txt")]) == 2
 
+    def test_unknown_json_field_exits_2(self, tmp_path, capsys):
+        path = write(tmp_path, "iv.jsonl", '{"kind": "co", "lo": 0, "hi": 1, "hi_kind": "c"}\n')
+        assert main(["dgm", "line", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 1: unknown field 'hi_kind' (use kind, lo, hi)\n"
+
     @pytest.mark.parametrize("token", ["1" * 5000, "x" * 5000], ids=["digits", "letters"])
     def test_long_bad_token_gives_one_short_line_in_both_forms(self, tmp_path, capsys, token):
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -132,6 +139,16 @@ class TestDistance:
         a = write(tmp_path, "a.txt", "0 inf\n")
         b = write(tmp_path, "b.txt", "0.2 0.5\n")
         assert main(["distance", "bottleneck-q", a, b]) == 2
+
+    def test_unknown_json_field_exits_2(self, tmp_path, capsys):
+        a = write(tmp_path, "a.jsonl", '{"a": 0, "b": 1, "multiplicty": 3}\n')
+        b = write(tmp_path, "b.txt", "0 1 3\n")
+        assert main(["distance", "bottleneck", a, b]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: line 1: unknown field 'multiplicty' (use a, b, multiplicity)\n"
+        )
 
     def test_json_lines_value_record(self, tmp_path, capsys):
         a = write(tmp_path, "a.txt", "0 0.5\n")
@@ -227,6 +244,20 @@ class TestTransfer:
         captured = capsys.readouterr()
         assert captured.out == "pair 0 0\n"
         assert "cost_not_increased True" in captured.err
+
+    def test_matching_follows_format(self, tmp_path, capsys):
+        a = write(tmp_path, "a.txt", "0.9 1.3\n")
+        b = write(tmp_path, "b.txt", "0 0.4\n")
+        matching = write(tmp_path, "m.txt", "pair 0 0\n")
+        sides = ["--diagram-a", a, "--diagram-b", b, "--format", "json-lines"]
+        assert main(["transfer", "lift", *sides, "--matching", matching]) == 0
+        lifted = capsys.readouterr().out
+        assert lifted == '{"pair": [0, 0], "shift": 1}\n'
+        orbits = write(tmp_path, "orbits.jsonl", lifted)
+        projected = tmp_path / "projected.jsonl"
+        argv = ["transfer", "project", *sides, "--matching", orbits, "-o", str(projected)]
+        assert main(argv) == 0
+        assert projected.read_text() == '{"pair": [0, 0]}\n'
 
     @pytest.mark.parametrize("fmt", ["text", "json-lines"])
     def test_quotient_witness_feeds_project(self, tmp_path, capsys, fmt):

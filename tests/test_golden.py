@@ -123,6 +123,10 @@ def test_output_is_byte_identical(name):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit(__doc__)
+    previous = _expected() if EXPECTED.exists() else {}
     recorded = {name: replay(argv) for name, argv in sorted(CASES.items())}
     EXPECTED.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"recorded {len(recorded)} cases in {EXPECTED}")
+    for name, result in recorded.items():
+        if previous.get(name) != result:
+            print(f"changed: {name}")

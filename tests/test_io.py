@@ -78,6 +78,14 @@ class TestIntervalFiles:
             fileio.read_line_module("cc zero 0.5\n")
         assert err.value.line_no == 1
 
+    def test_json_unknown_field_is_an_error_naming_it(self):
+        text = '{"kind": "co", "lo": 0, "hi": 1}\n{"kind": "co", "lo": 0, "hi": 1, "hi_kind": "c"}\n'
+        for reader in (fileio.read_line_module, fileio.read_circle_module):
+            with pytest.raises(ParseError) as err:
+                reader(text)
+            assert err.value.line_no == 2
+            assert err.value.message == "unknown field 'hi_kind' (use kind, lo, hi)"
+
     def test_write_read_round_trip(self):
         module = LineModule(
             (LineInterval(NEG_INF, F(3), OPEN, CLOSED), LineInterval(F(1, 3), F(2, 3), CLOSED, OPEN))
@@ -101,6 +109,14 @@ class TestDiagramFiles:
             with pytest.raises(ParseError) as err:
                 reader(text)
             assert err.value.line_no == 2
+
+    def test_json_unknown_field_is_an_error_naming_it(self):
+        text = '{"a": 0, "b": 1}\n{"a": 0, "b": 1, "multiplicty": 3}\n'
+        for reader in (fileio.read_plane_diagram, fileio.read_quotient_diagram):
+            with pytest.raises(ParseError) as err:
+                reader(text)
+            assert err.value.line_no == 2
+            assert err.value.message == "unknown field 'multiplicty' (use a, b, multiplicity)"
 
     def test_quotient_canonicalizes_by_default(self):
         diagram = fileio.read_quotient_diagram("1.2 1.5\n")
