@@ -206,16 +206,11 @@ def feasible_interleaving(
     blocks: list[list[int]] = []  # blocks[i][k]; row i is built when bit i first flips
     columns = [0] * d_b
     for mask in range(1 << d_a):
-        if mask:
-            flipped = mask ^ (mask - 1)
-            i = 0
-            while flipped:
-                if flipped & 1:
-                    if i == len(blocks):
-                        blocks.append([_triangle_block(basis_a[i], beta, s, n) for beta in basis_b])
-                    columns = [c ^ b for c, b in zip(columns, blocks[i])]
-                flipped >>= 1
-                i += 1
+        # mask - 1 -> mask flips bits 0..i, where 2**i is the lowest set bit of mask
+        for i in range((mask & -mask).bit_length()):
+            if i == len(blocks):
+                blocks.append([_triangle_block(basis_a[i], beta, s, n) for beta in basis_b])
+            columns = [c ^ b for c, b in zip(columns, blocks[i])]
         coefficients = gf2.lex_min_solution(Matrix(tuple(columns), width), rhs)
         if coefficients is None:
             continue

@@ -5,9 +5,9 @@ Diagrams: one `a b [multiplicity]` per line.
 Matchings: `pair i j [k]`, `unmatchedA i`, `unmatchedB j` lines.
 `#` starts a comment anywhere; blank lines are ignored; values are decimal
 rationals or p/q, with `-inf`/`inf` allowed where infinities make sense.
-In every file, lines that start with `{` are parsed as json-lines records
-with the same fields and no others (a matching pair is `{"pair": [i, j],
-"shift": k}`), so json output feeds back into the same parsers.  A
+In every file, lines that start with `{` are json-lines records holding the
+text line's values by field name, in order (a matching pair is `{"pair":
+[i, j], "shift": k}`), so json output feeds back into the same parsers.  A
 malformed value is a `ParseError` that names its line.
 """
 
@@ -20,6 +20,7 @@ from typing import Iterator
 from .intervals import (
     KIND_CODES,
     CircleInterval,
+    EndpointKind,
     CircleModule,
     LineInterval,
     LineModule,
@@ -45,9 +46,10 @@ def _data_lines(text: str) -> Iterator[tuple[int, str]]:
             yield line_no, stripped
 
 
-def _parse_value(token: str, line_no: int) -> Ext:
+def _on_line(line_no: int, make, *args):
+    """``make(*args)``, with its ValueError raised as a ParseError on *line_no*."""
     try:
-        return parse_number(token)
+        return make(*args)
     except ValueError as exc:
         raise ParseError(line_no, str(exc)) from exc
 
@@ -61,10 +63,15 @@ class _JsonInt(str):
 # gets the same error as in a text line
 _JSON_DECODER = json.JSONDecoder(parse_float=str, parse_int=_JsonInt)
 
+# each record kind's json field names, in the order of its text line
+_INTERVAL_FIELDS = ("kind", "lo", "hi")
+_POINT_FIELDS = ("a", "b", "multiplicity")
+_MATCHING_FIELDS = ("pair", "shift", "unmatchedA", "unmatchedB")
 
-def _json_record(line: str, line_no: int, fields: tuple[str, ...] = ()) -> dict | None:
-    """The json record on *line*, or None for a text line; with *fields*, a
-    field outside them is an error."""
+
+def _json_record(line: str, line_no: int, fields: tuple[str, ...]) -> dict | None:
+    """The json record on *line*, or None for a text line; a field outside
+    *fields* is an error."""
     if not line.startswith("{"):
         return None
     try:
@@ -74,57 +81,61 @@ def _json_record(line: str, line_no: int, fields: tuple[str, ...] = ()) -> dict 
     if not isinstance(record, dict):
         raise ParseError(line_no, "json record must be an object")
     unknown = [name for name in record if name not in fields]
-    if fields and unknown:
+    if unknown:
         raise ParseError(line_no, f"unknown field {quoted(unknown[0])} (use {', '.join(fields)})")
     return record
+
+
+def _values(line: str, line_no: int, fields: tuple[str, ...]) -> tuple[list, bool]:
+    """The values on a data line, and whether it is a text line: its tokens,
+    or a record's *fields* in that order, where only trailing ones may lack."""
+    record = _json_record(line, line_no, fields)
+    if record is None:
+        return line.split(), True
+    try:
+        return [record[name] for name in fields[: len(record)]], False
+    except KeyError as exc:
+        raise ParseError(line_no, f"missing field {exc}") from exc
+
+
+def _integer(value, line_no: int, from_text: bool) -> int:
+    """A text integer or a JSON integer (not 1.5, true or "1"), with no `_`."""
+    if (from_text or isinstance(value, _JsonInt)) and "_" not in value:
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ParseError(line_no, f"expected an integer, got {quoted(value)}")
 
 
 # -- interval lists ---------------------------------------------------------
 
 
-def _interval_rows(text: str) -> Iterator[tuple[int, str, Ext, Ext]]:
+def _interval_rows(text: str) -> Iterator[tuple[int, Ext, Ext, EndpointKind, EndpointKind]]:
+    """(line_no, lo, hi, lo_kind, hi_kind) per interval."""
     for line_no, line in _data_lines(text):
-        record = _json_record(line, line_no, ("kind", "lo", "hi"))
-        if record is not None:
-            try:
-                kind = str(record["kind"])
-                lo = _parse_value(str(record["lo"]), line_no)
-                hi = _parse_value(str(record["hi"]), line_no)
-            except KeyError as exc:
-                raise ParseError(line_no, f"missing field {exc}") from exc
-        else:
-            parts = line.split()
-            if len(parts) != 3:
-                raise ParseError(line_no, f"expected `KIND lo hi`, got {quoted(line)}")
-            kind, lo_text, hi_text = parts
-            lo = _parse_value(lo_text, line_no)
-            hi = _parse_value(hi_text, line_no)
+        values, _ = _values(line, line_no, _INTERVAL_FIELDS)
+        if len(values) != 3:
+            raise ParseError(line_no, f"expected `KIND lo hi`, got {quoted(line)}")
+        lo = _on_line(line_no, parse_number, str(values[1]))
+        hi = _on_line(line_no, parse_number, str(values[2]))
+        kind = str(values[0])
         if kind not in KIND_CODES:
             raise ParseError(line_no, f"unknown endpoint kind {quoted(kind)} (use oo/oc/co/cc)")
-        yield line_no, kind, lo, hi
+        yield line_no, lo, hi, *KIND_CODES[kind]
 
 
 def read_line_module(text: str) -> LineModule:
-    intervals = []
-    for line_no, kind, lo, hi in _interval_rows(text):
-        lo_kind, hi_kind = KIND_CODES[kind]
-        try:
-            intervals.append(LineInterval(lo, hi, lo_kind, hi_kind))
-        except ValueError as exc:
-            raise ParseError(line_no, str(exc)) from exc
+    intervals = [_on_line(line_no, LineInterval, *row) for line_no, *row in _interval_rows(text)]
     return LineModule(tuple(intervals))
 
 
 def read_circle_module(text: str) -> CircleModule:
     intervals = []
-    for line_no, kind, lo, hi in _interval_rows(text):
+    for line_no, lo, hi, *kinds in _interval_rows(text):
         if not is_finite(lo) or not is_finite(hi):
             raise ParseError(line_no, "circle intervals must have finite endpoints")
-        lo_kind, hi_kind = KIND_CODES[kind]
-        try:
-            intervals.append(CircleInterval(lo, hi, lo_kind, hi_kind))
-        except ValueError as exc:
-            raise ParseError(line_no, str(exc)) from exc
+        intervals.append(_on_line(line_no, CircleInterval, lo, hi, *kinds))
     return CircleModule(tuple(intervals))
 
 
@@ -141,28 +152,12 @@ def write_line_module(m: LineModule) -> str:
 
 def _diagram_rows(text: str) -> Iterator[tuple[int, Ext, Ext, int]]:
     for line_no, line in _data_lines(text):
-        record = _json_record(line, line_no, ("a", "b", "multiplicity"))
-        if record is not None:
-            try:
-                a = _parse_value(str(record["a"]), line_no)
-                b = _parse_value(str(record["b"]), line_no)
-            except KeyError as exc:
-                raise ParseError(line_no, f"missing field {exc}") from exc
-            multiplicity = record.get("multiplicity", _JsonInt(1))
-            # a JSON integer only: int() would truncate 1.7 and accept true
-            if not isinstance(multiplicity, _JsonInt):
-                raise ParseError(line_no, f"multiplicity must be an integer, got {quoted(multiplicity)}")
-        else:
-            parts = line.split()
-            if len(parts) not in (2, 3):
-                raise ParseError(line_no, f"expected `a b [multiplicity]`, got {quoted(line)}")
-            a = _parse_value(parts[0], line_no)
-            b = _parse_value(parts[1], line_no)
-            multiplicity = parts[2] if len(parts) == 3 else "1"
-        try:
-            multiplicity = int(multiplicity)
-        except ValueError as exc:
-            raise ParseError(line_no, f"bad multiplicity {quoted(multiplicity)}") from exc
+        values, from_text = _values(line, line_no, _POINT_FIELDS)
+        if len(values) not in (2, 3):
+            raise ParseError(line_no, f"expected `a b [multiplicity]`, got {quoted(line)}")
+        a = _on_line(line_no, parse_number, str(values[0]))
+        b = _on_line(line_no, parse_number, str(values[1]))
+        multiplicity = _integer(values[2], line_no, from_text) if len(values) == 3 else 1
         if multiplicity < 1:
             raise ParseError(line_no, f"multiplicity must be positive, got {quoted(multiplicity)}")
         yield line_no, a, b, multiplicity
@@ -171,11 +166,7 @@ def _diagram_rows(text: str) -> Iterator[tuple[int, Ext, Ext, int]]:
 def read_plane_diagram(text: str) -> Diagram:
     points = []
     for line_no, a, b, multiplicity in _diagram_rows(text):
-        try:
-            point = PlanePoint(a, b)
-        except ValueError as exc:
-            raise ParseError(line_no, str(exc)) from exc
-        points.extend([point] * multiplicity)
+        points.extend([_on_line(line_no, PlanePoint, a, b)] * multiplicity)
     return Diagram(tuple(points))
 
 
@@ -187,11 +178,7 @@ def read_quotient_diagram(text: str, canonicalize: bool = True) -> QuotientDiagr
         if not canonicalize and not 0 <= a < 1:
             shown = ", ".join(clipped(format_number(v)) for v in (a, b))
             raise ParseError(line_no, f"point ({shown}) is not canonical")
-        try:
-            point = QuotientPoint(a, b)
-        except ValueError as exc:
-            raise ParseError(line_no, str(exc)) from exc
-        points.extend([point] * multiplicity)
+        points.extend([_on_line(line_no, QuotientPoint, a, b)] * multiplicity)
     return QuotientDiagram(tuple(points))
 
 
@@ -199,20 +186,11 @@ def _write_points(points, fmt: str) -> str:
     # the points are sorted, and a Counter keeps first-seen order
     lines = []
     for point, multiplicity in Counter(points).items():
+        values = (format_number(point.a), format_number(point.b), multiplicity)
         if fmt == "json-lines":
-            lines.append(
-                json.dumps(
-                    {
-                        "a": format_number(point.a),
-                        "b": format_number(point.b),
-                        "multiplicity": multiplicity,
-                    }
-                )
-            )
+            lines.append(json.dumps(dict(zip(_POINT_FIELDS, values))))
         else:
-            lines.append(
-                f"{format_number(point.a)} {format_number(point.b)} {multiplicity}"
-            )
+            lines.append("%s %s %d" % values)
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -225,16 +203,6 @@ def write_quotient_diagram(diagram: QuotientDiagram, fmt: str = "text") -> str:
 
 
 # -- matchings ---------------------------------------------------------------
-
-
-def _integer(value, line_no: int, from_text: bool) -> int:
-    # json values must be JSON integers, which refuses 1.5, true and "1"
-    try:
-        if from_text or isinstance(value, _JsonInt):
-            return int(value)
-    except ValueError:
-        pass
-    raise ParseError(line_no, f"expected an integer, got {quoted(value)}")
 
 
 def _json_matching_fields(record: dict) -> tuple[str | None, list]:
@@ -266,7 +234,7 @@ def _matching_rows(text: str, n_a: int, n_b: int, shift_required: bool) -> list[
     first_line: dict[tuple[str, int], int] = {}  # (side, index) -> the line that used it
     pairs: list[tuple[int, ...]] = []
     for line_no, line in _data_lines(text):
-        record = _json_record(line, line_no)
+        record = _json_record(line, line_no, _MATCHING_FIELDS)
         if record is None:
             tag, *values = line.split()
         else:
@@ -308,10 +276,7 @@ def _write_matching(pairs, unmatched_a, unmatched_b, fmt: str) -> str:
     lines = []
     for i, j, *shift in pairs:
         if fmt == "json-lines":
-            record = {"pair": [i, j]}
-            if shift:
-                record["shift"] = shift[0]
-            lines.append(json.dumps(record))
+            lines.append(json.dumps(dict(zip(_MATCHING_FIELDS, ([i, j], *shift)))))
         else:
             lines.append(" ".join(map(str, ("pair", i, j, *shift))))
     for tag, indices in (("unmatchedA", unmatched_a), ("unmatchedB", unmatched_b)):

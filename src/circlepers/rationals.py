@@ -11,12 +11,16 @@ which the bottleneck search and the interleaving feasibility tests rely on.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 Ext = Fraction | float
 
 INF: float = math.inf
 NEG_INF: float = -math.inf
+
+# the digits `int()` converts, 0 for no limit (before Python 3.10.7, the default 4300)
+_int_digits_limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)
 
 
 def clipped(value) -> str:
@@ -69,7 +73,33 @@ def as_fraction(value) -> Fraction:
     return x
 
 
+def _digits(token: str) -> int:
+    """How many digits a number token needs: a ratio's longer side, or the
+    most of a decimal's digit runs and of its value's digits written out
+    without an exponent (as `format_number` writes it); ValueError if the
+    token is not a number."""
+    unsigned = token[1:] if token[:1] in ("+", "-") else token
+    if "/" in unsigned:
+        sides = unsigned.split("/")
+        if not "".join(sides).isdecimal():
+            raise ValueError(token)
+        return max(map(len, sides))
+    mantissa, _, exponent = unsigned.partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    if not (whole + fraction).isdecimal():
+        raise ValueError(token)
+    significant = (whole + fraction).lstrip("0")
+    # the decimal point's place, counted from the first significant digit
+    point = len(significant) - len(fraction) + int(exponent or 0)
+    significant = significant.rstrip("0")
+    return max(len(whole), len(fraction), len(significant), point, len(significant) - point)
+
+
 def parse_number(text: str) -> Ext:
+    """A decimal, a ratio "p/q" or an infinity, read the same on every Python:
+    no `_` or inner space (`Fraction` takes `1_0` from 3.11, `1 / 2` from 3.12),
+    and no value longer than `int()` converts, refused before `Fraction` would
+    spend seconds on `1e10000000` or make what no writer can write."""
     t = text.strip()
     low = t.lower()
     if low in ("inf", "+inf"):
@@ -77,9 +107,17 @@ def parse_number(text: str) -> Ext:
     if low == "-inf":
         return NEG_INF
     try:
-        return Fraction(t)
+        # a space inside counts only in a ratio (Fraction) or an exponent (int)
+        if "_" in t or (("/" in t or "e" in low) and len(t.split()) > 1):
+            raise ValueError(t)
+        # only an exponent makes a value longer than its token, and Python's
+        # limit is 0 (none) or at least 640 digits
+        limit = _int_digits_limit() if "e" in low or len(t) > 640 else 0
+        if not limit or _digits(low) <= limit:
+            return Fraction(t)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a number: {quoted(text)}") from exc
+    raise ValueError(f"more than {limit} digits: {quoted(text)}")
 
 
 def _strip_factor(n: int, p: int) -> tuple[int, int]:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -342,6 +343,23 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert len(err.encode()) < 200
         assert "characters)" in err
+
+    @pytest.mark.parametrize(
+        "argv, token",
+        [(["dgm", "line"], "1e5000"), (["dgm", "line"], "1e10000000"), (["distance", "bottleneck"], "1e5000")],
+        ids=["dgm", "dgm-long-exponent", "bottleneck"],
+    )
+    def test_value_past_the_digit_bound_gives_one_line_at_once(self, tmp_path, capsys, argv, token):
+        # such a value used to stall the reader, or crash the writer with no line number
+        if argv[0] == "dgm":
+            files = [write(tmp_path, "in.txt", f"co 0 {token}\n")]
+        else:
+            files = [write(tmp_path, "a.txt", f"0 {token}\n"), write(tmp_path, "b.txt", "0 1\n")]
+        start = time.perf_counter()
+        assert main(argv + files) == 2
+        assert time.perf_counter() - start < 0.5
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+        assert capsys.readouterr().err == f"error: line 1: more than {limit} digits: '{token}'\n"
 
     def test_unexpected_exception_exits_3(self, tmp_path, capsys, monkeypatch):
         def broken(args):

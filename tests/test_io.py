@@ -1,7 +1,12 @@
+import json
 import random
+import sys
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circlepers import (
     CLOSED,
@@ -22,10 +27,11 @@ from circlepers import (
     ParseError,
 )
 from circlepers import io as fileio
-from circlepers.rationals import format_number
+from circlepers.rationals import format_number, is_finite, parse_number
 from generators import random_invariant_matching
 
 F = Fraction
+DEFAULT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 4300)() == 4300
 
 
 class TestNumberFormatting:
@@ -42,10 +48,58 @@ class TestNumberFormatting:
         assert format_number(NEG_INF) == "-inf"
 
     def test_round_trips_through_the_parser(self):
-        from circlepers.rationals import parse_number
-
         for value in [F(1, 5), F(-13, 8), F(1, 3), F(0), F(22, 7), INF, NEG_INF]:
             assert parse_number(format_number(value)) == value
+
+
+class TestNumberGrammar:
+    """Numbers read the same on every supported Python, and a decimal value
+    read writes back to itself."""
+
+    @pytest.mark.parametrize("token", ["1_0", "0.1_5", "1e1_0", "1_0/3", "1 / 2", "1/ 2", "1\t/2"])
+    def test_separators_and_spaced_ratios_are_refused(self, token):
+        # Fraction accepts `_` from Python 3.11 on and spaces around `/` from 3.12 on
+        with pytest.raises(ValueError, match="not a number"):
+            parse_number(token)
+
+    @given(token=st.text(alphabet="0123456789.e-+/ _x", max_size=9))
+    @settings(max_examples=400, deadline=None)
+    def test_otherwise_the_grammar_is_fractions(self, token):
+        try:
+            expected = Fraction(token)
+        except (ValueError, ZeroDivisionError):
+            expected = None
+        try:
+            value = parse_number(token)
+        except ValueError as exc:
+            if "digits" in str(exc):  # the bound refuses only numbers
+                assert expected is not None
+                return
+            value = None
+        if "_" in token or len(token.split()) > 1:
+            assert value is None
+        else:
+            assert value == expected
+
+    @pytest.mark.skipif(not DEFAULT_DIGIT_LIMIT, reason="the tokens sit at Python's default limit")
+    @pytest.mark.parametrize(
+        "token", ["1e4000", "-12.5e4298", "1e-4299", "0.001e4300", "7/" + "3" * 4300, "0e4299"]
+    )
+    def test_long_values_within_the_bound_write_back_exactly(self, token):
+        value = parse_number(token)
+        assert parse_number(format_number(value)) == value
+
+    @pytest.mark.skipif(not DEFAULT_DIGIT_LIMIT, reason="the tokens sit at Python's default limit")
+    @pytest.mark.parametrize(
+        "token",
+        ["1e5000", "1e10000000", "1e-10000000", "0e10000000", "1" * 5000, "1" * 3000 + "." + "1" * 3000,
+         "1/" + "3" * 4301],
+    )
+    def test_values_past_the_digit_bound_are_refused_at_once(self, token):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^more than 4300 digits: "):
+            parse_number(token)
+        assert time.perf_counter() - start < 0.5
 
 
 class TestIntervalFiles:
@@ -109,6 +163,16 @@ class TestDiagramFiles:
             with pytest.raises(ParseError) as err:
                 reader(text)
             assert err.value.line_no == 2
+
+    @pytest.mark.parametrize("token", ["1.5", "2.0", "1e2", "-3", "1" * 5000])
+    def test_bad_multiplicity_gives_one_message_in_both_forms(self, token):
+        messages = []
+        for line in (f"0 1 {token}\n", '{"a": 0, "b": 1, "multiplicity": %s}\n' % token):
+            with pytest.raises(ParseError) as err:
+                fileio.read_plane_diagram("0 1\n" + line)
+            assert err.value.line_no == 2
+            messages.append(err.value.message)
+        assert messages[0] == messages[1]
 
     def test_json_unknown_field_is_an_error_naming_it(self):
         text = '{"a": 0, "b": 1}\n{"a": 0, "b": 1, "multiplicty": 3}\n'
@@ -294,3 +358,152 @@ class TestMatchingFiles:
             for fmt in ("text", "json-lines"):
                 text = fileio.write_invariant_matching(m, fmt)
                 assert fileio.read_invariant_matching(text, m.classes_a, m.classes_b) == m
+
+
+class TestUnderscores:
+    """`int()` takes `1_0` on every Python and `Fraction` from 3.11 on; a
+    file reads the same on all of them, so every number refuses `_`."""
+
+    @pytest.mark.parametrize(
+        "read, text",
+        [
+            (fileio.read_line_module, "co 0 1\nco 0 1_0\n"),
+            (fileio.read_line_module, 'co 0 1\n{"kind": "co", "lo": 0, "hi": "1_0"}\n'),
+            (fileio.read_plane_diagram, "0 1\n0 1_0\n"),
+            (fileio.read_plane_diagram, "0 1\n0 1 1_0\n"),
+            (lambda text: fileio.read_quotient_matching(text, 11, 11), "pair 0 0\npair 1 1_0\n"),
+            (lambda text: fileio.read_quotient_matching(text, 11, 11), "pair 0 0\nunmatchedB 1_0\n"),
+        ],
+        ids=["value", "json-value", "point", "multiplicity", "pair-index", "unmatched-index"],
+    )
+    def test_refused_on_its_line(self, read, text):
+        with pytest.raises(ParseError) as err:
+            read(text)
+        assert err.value.line_no == 2
+        assert "1_0" in err.value.message
+
+
+finite = st.fractions(min_value=-4, max_value=4, max_denominator=24)
+low_ends = st.one_of(finite, st.just(NEG_INF))
+high_ends = st.one_of(finite, st.just(INF))
+plane_points = st.builds(lambda a, b: PlanePoint(min(a, b), max(a, b)), low_ends, high_ends)
+quotient_points = st.builds(
+    lambda a, length: QuotientPoint(a, a + length),
+    st.fractions(min_value=0, max_value=1, max_denominator=24).filter(lambda a: a < 1),
+    st.fractions(min_value=0, max_value=3, max_denominator=24),
+)
+
+
+def with_multiplicities(points):
+    return st.lists(st.tuples(points, st.integers(1, 3)), max_size=8).map(
+        lambda drawn: tuple(p for p, count in drawn for _ in range(count))
+    )
+
+
+@st.composite
+def line_intervals(draw):
+    lo, hi = sorted((draw(low_ends), draw(high_ends)))
+    if lo == hi:
+        return LineInterval(lo, hi, CLOSED, CLOSED)
+    kinds = [OPEN if not is_finite(x) else draw(st.sampled_from([OPEN, CLOSED])) for x in (lo, hi)]
+    return LineInterval(lo, hi, *kinds)
+
+
+@st.composite
+def index_pairs(draw, shifts):
+    """(n_a, n_b, pairs): pairs injective on both sides, with a shift each
+    when *shifts*."""
+    n_a, n_b = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    a = draw(st.permutations(range(n_a)))
+    b = draw(st.permutations(range(n_b)))
+    count = draw(st.integers(0, min(n_a, n_b)))
+    pairs = [(a[t], b[t], *([draw(st.integers(-3, 3))] if shifts else [])) for t in range(count)]
+    return n_a, n_b, pairs
+
+
+FORMATS = ("text", "json-lines")
+
+
+class TestRoundTrips:
+    """Every writer's output reads back to the value written, in both forms."""
+
+    @given(points=with_multiplicities(plane_points))
+    @settings(max_examples=150, deadline=None)
+    def test_plane_diagrams(self, points):
+        diagram = Diagram(points)
+        for fmt in FORMATS:
+            assert fileio.read_plane_diagram(fileio.write_plane_diagram(diagram, fmt)) == diagram
+
+    @given(points=with_multiplicities(quotient_points))
+    @settings(max_examples=100, deadline=None)
+    def test_quotient_diagrams(self, points):
+        diagram = QuotientDiagram(points)
+        for fmt in FORMATS:
+            text = fileio.write_quotient_diagram(diagram, fmt)
+            assert fileio.read_quotient_diagram(text) == diagram
+            assert fileio.read_quotient_diagram(text, canonicalize=False) == diagram
+
+    @given(drawn=index_pairs(shifts=False))
+    @settings(max_examples=100, deadline=None)
+    def test_partial_matchings(self, drawn):
+        n_a, n_b, pairs = drawn
+        matching = PartialMatching.from_pairs(pairs, n_a, n_b)
+        for fmt in FORMATS:
+            text = fileio.write_partial_matching(matching, fmt)
+            assert fileio.read_quotient_matching(text, n_a, n_b) == matching
+
+    @given(drawn=index_pairs(shifts=True), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_orbit_matchings(self, drawn, data):
+        n_a, n_b, pairs = drawn
+        classes_a = tuple(data.draw(st.lists(quotient_points, min_size=n_a, max_size=n_a)))
+        classes_b = tuple(data.draw(st.lists(quotient_points, min_size=n_b, max_size=n_b)))
+        m = InvariantMatching(classes_a, classes_b, frozenset(OrbitPair(*p) for p in pairs))
+        for fmt in FORMATS:
+            text = fileio.write_invariant_matching(m, fmt)
+            assert fileio.read_invariant_matching(text, classes_a, classes_b) == m
+
+    @given(intervals=st.lists(line_intervals(), max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_line_modules(self, intervals):
+        module = LineModule(tuple(intervals))
+        assert fileio.read_line_module(fileio.write_line_module(module)) == module
+
+
+class TestMixedForms:
+    """A file may mix text lines and json-lines records line by line."""
+
+    @staticmethod
+    def mixed(text_lines, json_lines, picks):
+        assert len(text_lines) == len(json_lines) == len(picks)
+        return "".join(j if pick else t for t, j, pick in zip(text_lines, json_lines, picks))
+
+    @given(points=with_multiplicities(plane_points), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_diagram_lines(self, points, data):
+        diagram = Diagram(points)
+        text = fileio.write_plane_diagram(diagram).splitlines(keepends=True)
+        records = fileio.write_plane_diagram(diagram, "json-lines").splitlines(keepends=True)
+        picks = data.draw(st.lists(st.booleans(), min_size=len(text), max_size=len(text)))
+        assert fileio.read_plane_diagram(self.mixed(text, records, picks)) == diagram
+
+    @given(intervals=st.lists(line_intervals(), max_size=8), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_interval_lines(self, intervals, data):
+        text = fileio.write_line_module(LineModule(tuple(intervals))).splitlines(keepends=True)
+        records = [json.dumps(dict(zip(("kind", "lo", "hi"), line.split()))) + "\n" for line in text]
+        picks = data.draw(st.lists(st.booleans(), min_size=len(text), max_size=len(text)))
+        all_text = "".join(text)
+        assert fileio.read_line_module(self.mixed(text, records, picks)) == fileio.read_line_module(all_text)
+
+    @given(drawn=index_pairs(shifts=True), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matching_lines(self, drawn, data):
+        n_a, n_b, pairs = drawn
+        classes_a = (QuotientPoint(F(0), F(1)),) * n_a
+        classes_b = (QuotientPoint(F(0), F(1)),) * n_b
+        m = InvariantMatching(classes_a, classes_b, frozenset(OrbitPair(*p) for p in pairs))
+        text = fileio.write_invariant_matching(m).splitlines(keepends=True)
+        records = fileio.write_invariant_matching(m, "json-lines").splitlines(keepends=True)
+        picks = data.draw(st.lists(st.booleans(), min_size=len(text), max_size=len(text)))
+        assert fileio.read_invariant_matching(self.mixed(text, records, picks), classes_a, classes_b) == m
