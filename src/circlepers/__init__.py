@@ -8,7 +8,7 @@ independent brute-force interleaving search on discretised grid modules that
 cross-checks the diagram route.
 """
 
-from .grid import GridModule, direct_sum, loop_is_nilpotent, step_composite, to_grid
+from .grid import GridModule, step_composite, to_grid
 from .intervals import (
     CLOSED,
     OPEN,
@@ -19,10 +19,6 @@ from .intervals import (
     LineModule,
     diagram_of,
     diagram_of_line,
-    dim_at,
-    dim_at_line,
-    lift_module,
-    structure_map,
     translate_basis,
 )
 from .interleaving import (
@@ -100,9 +96,6 @@ __all__ = [
     "diag_cost_quotient",
     "diagram_of",
     "diagram_of_line",
-    "dim_at",
-    "dim_at_line",
-    "direct_sum",
     "feasible_interleaving",
     "format_number",
     "format_ratio",
@@ -112,9 +105,7 @@ __all__ = [
     "is_degree_morphism",
     "is_interleaving_pair",
     "lift_matching",
-    "lift_module",
     "linf",
-    "loop_is_nilpotent",
     "matching_cost",
     "matching_cost_quotient",
     "parse_number",
@@ -122,7 +113,6 @@ __all__ = [
     "quotient_linf",
     "quotient_linf_with_shift",
     "step_composite",
-    "structure_map",
     "to_grid",
     "translate_basis",
 ]

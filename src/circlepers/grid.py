@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import gf2
 from .gf2 import Matrix
-from .intervals import CircleModule, _label_map, _members
+from .intervals import CircleModule, _members
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,6 +33,16 @@ class GridModule:
                 raise ValueError(
                     f"step matrix at node {j} has shape {self.steps[j].shape}, expected {expected}"
                 )
+
+
+def _label_map(source: list, target: list) -> Matrix:
+    # the 0/1 matrix that sends each source label to the equal target label
+    position = {label: c for c, label in enumerate(source)}
+    rows = []
+    for label in target:
+        c = position.get(label)
+        rows.append(0 if c is None else 1 << c)
+    return Matrix(tuple(rows), len(source))
 
 
 def to_grid(m: CircleModule, n: int) -> GridModule:
@@ -66,20 +76,6 @@ def to_grid(m: CircleModule, n: int) -> GridModule:
     return GridModule(n, tuple(len(labels) for labels in fibers), steps)
 
 
-def direct_sum(a: GridModule, b: GridModule) -> GridModule:
-    """Blockwise direct sum; both summands must share the resolution."""
-    if a.resolution != b.resolution:
-        raise ValueError("direct sum requires equal grid resolutions")
-    n = a.resolution
-    dims = tuple(a.dims[j] + b.dims[j] for j in range(n))
-    steps = []
-    for j in range(n):
-        # b's block sits below and to the right of a's
-        shifted = tuple(row << a.dims[j] for row in b.steps[j].rows)
-        steps.append(Matrix(a.steps[j].rows + shifted, dims[j]))
-    return GridModule(n, dims, tuple(steps))
-
-
 def step_composite(g: GridModule, start: int, count: int) -> Matrix:
     """Composite of *count* consecutive step maps starting at node *start*."""
     n = g.resolution
@@ -90,8 +86,3 @@ def step_composite(g: GridModule, start: int, count: int) -> Matrix:
         acc = gf2.matmul(g.steps[(start + t) % n], acc)
     return acc
 
-
-def loop_is_nilpotent(g: GridModule) -> bool:
-    """Whether the loop map is nilpotent (it must be, for interval sources):
-    its d-th power, d turns from node 0 with d the fiber dimension there, is 0."""
-    return not any(step_composite(g, 0, g.resolution * max(g.dims[0], 1)).rows)

@@ -2,8 +2,9 @@
 
 A line module is a finite multiset of intervals |a,b| with explicit endpoint
 kinds; a circle module is a finite multiset of translation classes of finite
-intervals.  All evaluations (pointwise dimension, structure maps between
-nearby circle classes, lifts to the line, persistence diagrams) are exact.
+intervals.  This layer holds the modules, the translate basis of a circle
+module's fiber (the membership rule the grid sampler shares) and the
+persistence diagrams, all exact.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .gf2 import Matrix
 from .metric_plane import Diagram, PlanePoint
 from .metric_quotient import QuotientDiagram, QuotientPoint
 from .rationals import NEG_INF, INF, Ext, as_ext, as_fraction, clipped, is_finite
@@ -118,10 +118,6 @@ class CircleInterval:
     def length(self) -> Fraction:
         return self.hi - self.lo
 
-    def line_representative(self, k: int = 0) -> LineInterval:
-        """The translate by *k* of the canonical representative, as a line interval."""
-        return LineInterval(self.lo + k, self.hi + k, self.lo_kind, self.hi_kind)
-
 
 def _sort_key(ival: LineInterval | CircleInterval):
     return (ival.lo, ival.hi, ival.lo_kind.value, ival.hi_kind.value)
@@ -158,16 +154,6 @@ def _members(lo, hi, lo_kind: EndpointKind, hi_kind: EndpointKind) -> range:
     return range(first, last + 1)
 
 
-def _label_map(source: list, target: list) -> Matrix:
-    # the 0/1 matrix that sends each source label to the equal target label
-    position = {label: c for c, label in enumerate(source)}
-    rows = []
-    for label in target:
-        c = position.get(label)
-        rows.append(0 if c is None else 1 << c)
-    return Matrix(tuple(rows), len(source))
-
-
 def translate_basis(m: CircleModule, x) -> list[tuple[int, int]]:
     """Canonical basis of the fiber of *m* over the class of *x*.
 
@@ -181,59 +167,6 @@ def translate_basis(m: CircleModule, x) -> list[tuple[int, int]]:
         for idx, ival in enumerate(m.intervals)
         for k in _members(ival.lo - x, ival.hi - x, ival.lo_kind, ival.hi_kind)
     ]
-
-
-def dim_at(m: CircleModule, x) -> int:
-    """Dimension of the fiber of *m* over the class of *x*.
-
-    Counts, over all intervals, the integer translates k with x + k inside
-    the interval.  Well defined on the circle: dim_at(m, x) == dim_at(m, x+1).
-    """
-    return len(translate_basis(m, x))
-
-
-def dim_at_line(m: LineModule, x) -> int:
-    """Dimension of the fiber of a line module at the point *x*."""
-    x = as_ext(x)
-    return sum(1 for ival in m.intervals if ival.contains(x))
-
-
-def structure_map(m: CircleModule, x, y) -> Matrix:
-    """The map of *m* from the class of *x* to the class of *y*, y - x < 1/2.
-
-    Returned as a 0/1 matrix over the two-element field in the canonical
-    translate bases of :func:`translate_basis`; the entry for a pair of
-    labels is 1 exactly when they name the same translate of the same
-    interval (so the points x+k and y+k sit in one interval together).
-
-    The class order on the circle only relates classes less than half a
-    turn apart, so arcs with y - x >= 1/2 are rejected.
-    """
-    x = as_fraction(x)
-    y = as_fraction(y)
-    if not x < y:
-        raise ValueError(f"structure map requires x < y, got {x} >= {y}")
-    if y - x >= Fraction(1, 2):
-        raise ValueError(
-            f"no class order across an arc of length {y - x} >= 1/2"
-        )
-    return _label_map(translate_basis(m, x), translate_basis(m, y))
-
-
-def lift_module(m: CircleModule, window: int) -> LineModule:
-    """Unroll *m* to the line over translates -window..window.
-
-    This is the restriction of the translation-invariant line module attached
-    to *m* to 2*window + 1 fundamental domains.
-    """
-    if window < 1:
-        raise ValueError("window must be at least 1")
-    lifted = [
-        ival.line_representative(k)
-        for ival in m.intervals
-        for k in range(-window, window + 1)
-    ]
-    return LineModule(tuple(lifted))
 
 
 def diagram_of(m: CircleModule) -> QuotientDiagram:

@@ -120,33 +120,42 @@ def parse_number(text: str) -> Ext:
     raise ValueError(f"more than {limit} digits: {quoted(text)}")
 
 
-def _strip_factor(n: int, p: int) -> tuple[int, int]:
-    count = 0
-    while n % p == 0:
-        n //= p
-        count += 1
-    return n, count
+def _strip_factor(n: int, f: int) -> tuple[int, int]:
+    # n without its factors f, and their count; recursing on f^2 keeps the
+    # divisions logarithmic in the count
+    if n % f:
+        return n, 0
+    n, pairs = _strip_factor(n, f * f)
+    return (n // f, 2 * pairs + 1) if n % f == 0 else (n, 2 * pairs)
 
 
 def format_number(x: Ext) -> str:
     """Render exactly, preferring plain decimals (used in data files).
 
     Values whose denominator has only factors 2 and 5 come out as terminating
-    decimals ("0.2"); anything else falls back to "p/q".  Both forms parse
-    back bit-exactly.
+    decimals ("0.2"), unless the decimal has more digits than `parse_number`
+    reads; anything else falls back to "p/q".  Both forms parse back
+    bit-exactly.
     """
     if not is_finite(x):
         return "inf" if x > 0 else "-inf"
-    if x.denominator == 1:
-        return str(x.numerator)
-    rest, twos = _strip_factor(x.denominator, 2)
-    rest, fives = _strip_factor(rest, 5)
+    p, d = x.numerator, x.denominator
+    if d == 1:
+        return str(p)
+    twos = (d & -d).bit_length() - 1
+    rest, fives = _strip_factor(d >> twos, 5)
     if rest != 1:
-        return f"{x.numerator}/{x.denominator}"
+        return f"{p}/{d}"
     places = max(twos, fives)
-    scaled = abs(x.numerator) * 10**places // x.denominator
+    scaled = abs(p) * 10**places // d
+    # a decimal longer than `int()` converts would not read back; Python's
+    # limit is 0 (none) or at least 640 digits, and 2^1920 < 10^640
+    if places > 640 or scaled.bit_length() > 1920:
+        limit = _int_digits_limit()
+        if limit and (places > limit or scaled >= 10**limit):
+            return f"{p}/{d}"
     digits = str(scaled).rjust(places + 1, "0")
-    sign = "-" if x.numerator < 0 else ""
+    sign = "-" if p < 0 else ""
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 

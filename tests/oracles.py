@@ -4,7 +4,9 @@ Most of it works by definition-level enumeration: all partial matchings,
 all integer translates in a window, and so on.  The rest are kernels frozen
 as they were before a faster one replaced them: the numpy grid search, the
 `Fraction` grid sampler and the `Fraction` bottleneck search.  None of it
-shares code with the algorithmic paths it is used to verify.
+shares code with the algorithmic paths it is used to verify.  Two grid
+tools live here too, because only tests build with them: the blockwise
+direct sum and the loop-nilpotency check.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from circlepers import (
     GridModule,
     LineInterval,
     bruteforce_distance,
-    direct_sum,
+    step_composite,
 )
 from circlepers.gf2 import Matrix
 from circlepers.interleaving import DEFAULT_BUDGET
@@ -297,6 +299,26 @@ def scan_translate_basis(m, x: Fraction) -> list[tuple[int, int]]:
     return labels
 
 
+def direct_sum(a: GridModule, b: GridModule) -> GridModule:
+    """Blockwise direct sum; both summands must share the resolution."""
+    if a.resolution != b.resolution:
+        raise ValueError("direct sum requires equal grid resolutions")
+    n = a.resolution
+    dims = tuple(a.dims[j] + b.dims[j] for j in range(n))
+    steps = []
+    for j in range(n):
+        # b's block sits below and to the right of a's
+        shifted = tuple(row << a.dims[j] for row in b.steps[j].rows)
+        steps.append(Matrix(a.steps[j].rows + shifted, dims[j]))
+    return GridModule(n, dims, tuple(steps))
+
+
+def loop_is_nilpotent(g: GridModule) -> bool:
+    """Whether the loop map is nilpotent (it must be, for interval sources):
+    its d-th power, d turns from node 0 with d the fiber dimension there, is 0."""
+    return not any(step_composite(g, 0, g.resolution * max(g.dims[0], 1)).rows)
+
+
 def max_direct_sum_bound_check(v1, w1, v2, w2, budget: int = DEFAULT_BUDGET) -> bool:
     """Verify the direct-sum bound on a concrete quadruple.
 
@@ -495,3 +517,25 @@ def frozen_bottleneck_quotient(a, b) -> tuple[Ext, PartialMatching]:
         [p.persistence / 2 for p in a.points],
         [q.persistence / 2 for q in b.points],
     )
+
+
+# -- the decimal writer, frozen as the reference -----------------------------
+#
+# `format_number` as it was before it counted factors by squaring and wrote a
+# ratio for a decimal past the read bound: one division per factor 2 or 5.
+# Within the bound the library must write the same string.
+
+
+def frozen_format_number(x: Fraction) -> str:
+    d, twos, fives = x.denominator, 0, 0
+    while d % 2 == 0:
+        d, twos = d // 2, twos + 1
+    while d % 5 == 0:
+        d, fives = d // 5, fives + 1
+    if x.denominator == 1:
+        return str(x.numerator)
+    if d != 1:
+        return f"{x.numerator}/{x.denominator}"
+    places = max(twos, fives)
+    digits = str(abs(x.numerator) * 10**places // x.denominator).rjust(places + 1, "0")
+    return f"{'-' if x.numerator < 0 else ''}{digits[:-places]}.{digits[-places:]}"

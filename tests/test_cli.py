@@ -361,6 +361,22 @@ class TestExitCodes:
         limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
         assert capsys.readouterr().err == f"error: line 1: more than {limit} digits: '{token}'\n"
 
+    @pytest.mark.skipif(
+        getattr(sys, "get_int_max_str_digits", lambda: 4300)() != 4300,
+        reason="the values sit at Python's default limit",
+    )
+    @pytest.mark.parametrize("twos", [5000, 14000])
+    def test_a_long_decimal_is_written_as_a_ratio_that_reads_back(self, tmp_path, capsys, twos):
+        # as decimals, 1/2^14000 crashed the writer with no line number and
+        # 1/2^5000 was written with 5002 characters that the reader refused
+        value = f"1/{2**twos}"
+        assert main(["dgm", "line", write(tmp_path, "in.txt", f"co 0 {value}\n")]) == 0
+        out = capsys.readouterr().out
+        assert out == f"0 {value} 1\n"
+        diagram = write(tmp_path, "dgm.txt", out)
+        assert main(["distance", "bottleneck", diagram, diagram]) == 0
+        assert capsys.readouterr().out == "0\n"
+
     def test_unexpected_exception_exits_3(self, tmp_path, capsys, monkeypatch):
         def broken(args):
             raise RuntimeError("boom")

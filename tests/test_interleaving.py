@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circlepers import (
     CLOSED,
@@ -16,13 +18,10 @@ from circlepers import (
     INF,
     NEG_INF,
     bruteforce_distance,
-    direct_sum,
     feasible_interleaving,
     interleaving_distance_circle,
     interval_distance_line,
     is_interleaving_pair,
-    loop_is_nilpotent,
-    structure_map,
     to_grid,
     translate_basis,
 )
@@ -30,7 +29,9 @@ from circlepers.gf2 import Matrix, identity
 from generators import KIND_PAIRS, random_on_grid_module
 from oracles import (
     as_array,
+    direct_sum,
     frozen_to_grid,
+    loop_is_nilpotent,
     max_direct_sum_bound_check,
     np_feasible_interleaving,
     np_matmul,
@@ -43,6 +44,23 @@ F = Fraction
 
 def grid_of(intervals, n=8):
     return to_grid(CircleModule(tuple(intervals)), n)
+
+
+def rotated(m, c):
+    return CircleModule(
+        tuple(CircleInterval(i.lo + c, i.hi + c, i.lo_kind, i.hi_kind) for i in m.intervals)
+    )
+
+
+@st.composite
+def circle_modules(draw, max_intervals=4):
+    intervals = []
+    for _ in range(draw(st.integers(0, max_intervals))):
+        lo = draw(st.fractions(0, 1, max_denominator=24).filter(lambda f: f < 1))
+        length = draw(st.fractions(0, 2, max_denominator=24))
+        kinds = (CLOSED, CLOSED) if length == 0 else draw(st.sampled_from(KIND_PAIRS))
+        intervals.append(CircleInterval(lo, lo + length, *kinds))
+    return CircleModule(tuple(intervals))
 
 
 class TestToGrid:
@@ -63,18 +81,8 @@ class TestToGrid:
         with pytest.raises(ValueError):
             grid_of([CircleInterval(F(1, 3), F(2, 3))], 4)
 
-    def test_steps_are_the_structure_maps(self):
-        rng = random.Random(42)
-        for _ in range(40):
-            m = random_on_grid_module(rng, 8, random_kinds=True)
-            g = to_grid(m, 8)
-            for j in range(8):
-                expected = structure_map(m, F(j, 8), F(j + 1, 8))
-                assert g.steps[j].tolist() == expected.tolist()
-
     def test_matches_the_frozen_sampler(self):
-        # every grid from 2 up: grid 2 steps across an arc of 1/2, which
-        # `structure_map` rejects, so only the frozen sampler covers it
+        # every grid from 2 up, grid 2 included: its steps cross an arc of 1/2
         rng = random.Random(2412)
         for n in range(2, 17):
             for trial in range(150):
@@ -366,11 +374,6 @@ class TestRotationInvariance:
     def test_rotating_both_modules_keeps_both_distances(self):
         # a rotation by k/N moves intervals across the seam at 0, where
         # to_grid bumps the translate index, so the grid search sees new data
-        def rotated(m, c):
-            return CircleModule(
-                tuple(CircleInterval(i.lo + c, i.hi + c, i.lo_kind, i.hi_kind) for i in m.intervals)
-            )
-
         rng = random.Random(2412)
         for trial in range(300):
             n = (4, 6, 8)[trial % 3]
@@ -381,6 +384,12 @@ class TestRotationInvariance:
             assert interleaving_distance_circle(rv, rw) == interleaving_distance_circle(mv, mw)
             grid_value = bruteforce_distance(to_grid(mv, n), to_grid(mw, n))
             assert bruteforce_distance(to_grid(rv, n), to_grid(rw, n)) == grid_value, (trial, c)
+
+    @given(mv=circle_modules(), mw=circle_modules(), c=st.fractions(-3, 3, max_denominator=60))
+    @settings(max_examples=80, deadline=None)
+    def test_rotation_by_any_rational_keeps_the_diagram_distance(self, mv, mw, c):
+        # c need not sit on any grid the endpoints share
+        assert interleaving_distance_circle(rotated(mv, c), rotated(mw, c)) == interleaving_distance_circle(mv, mw)
 
 
 class TestWindowGridAgainstClosedForm:

@@ -17,13 +17,11 @@ from circlepers import (
     NEG_INF,
     diagram_of,
     diagram_of_line,
-    dim_at,
-    dim_at_line,
-    lift_module,
-    structure_map,
+    step_composite,
+    to_grid,
     translate_basis,
 )
-from oracles import count_translates
+from oracles import count_translates, scan_translate_basis
 
 F = Fraction
 
@@ -93,14 +91,18 @@ class TestCircleInterval:
         assert long.length == F(22, 10)
 
 
+def fiber_dim(m: CircleModule, x) -> int:
+    return len(translate_basis(m, x))
+
+
 class TestDimAt:
     def test_open_interval_examples(self):
         m = CircleModule((CircleInterval(F(2, 10), F(15, 10), OPEN, OPEN),))
-        assert dim_at(m, F(3, 10)) == 2  # translates 0.3 and 1.3
-        assert dim_at(m, F(2, 10)) == 1  # 0.2 excluded by the open end, 1.2 inside
+        assert fiber_dim(m, F(3, 10)) == 2  # translates 0.3 and 1.3
+        assert fiber_dim(m, F(2, 10)) == 1  # 0.2 excluded by the open end, 1.2 inside
 
     def test_empty_module(self):
-        assert dim_at(CircleModule(()), F(7, 10)) == 0
+        assert fiber_dim(CircleModule(()), F(7, 10)) == 0
 
     def test_matches_translate_count_oracle(self):
         rng = random.Random(4321)
@@ -118,7 +120,7 @@ class TestDimAt:
             m = CircleModule(tuple(intervals))
             x = F(rng.randint(-40, 40), 20)
             expected = sum(count_translates(ival, x) for ival in m.intervals)
-            assert dim_at(m, x) == expected
+            assert fiber_dim(m, x) == expected
 
     @given(
         lo=st.fractions(min_value=0, max_value=1, max_denominator=12).filter(lambda f: f < 1),
@@ -129,32 +131,24 @@ class TestDimAt:
     def test_period_one_invariance(self, lo, length, x):
         kinds = (CLOSED, CLOSED) if length == 0 else (CLOSED, OPEN)
         m = CircleModule((CircleInterval(lo, lo + length, *kinds),))
-        assert dim_at(m, x) == dim_at(m, x + 1)
+        assert fiber_dim(m, x) == fiber_dim(m, x + 1)
 
 
 class TestStructureMap:
+    # the structure maps as the grid samples them: the composite of the
+    # steps from node j to node k is the map from j/N to k/N
     def test_interior_identity(self):
-        m = CircleModule((CircleInterval(F(0), F(6, 10), CLOSED, OPEN),))
-        matrix = structure_map(m, F(1, 10), F(3, 10))
-        assert matrix.tolist() == [[1]]
+        g = to_grid(CircleModule((CircleInterval(F(0), F(6, 10), CLOSED, OPEN),)), 10)
+        assert step_composite(g, 1, 2).tolist() == [[1]]
 
     def test_map_out_of_the_interval_is_zero(self):
         # source fiber at 0.5 is one-dimensional, target fiber at 0.7 is empty:
         # no translate of 0.7 lies in [0, 0.6)
-        m = CircleModule((CircleInterval(F(0), F(6, 10), CLOSED, OPEN),))
-        matrix = structure_map(m, F(5, 10), F(7, 10))
-        assert matrix.shape == (0, 1)
-        assert not any(matrix.rows)
+        g = to_grid(CircleModule((CircleInterval(F(0), F(6, 10), CLOSED, OPEN),)), 10)
+        assert step_composite(g, 5, 2).shape == (0, 1)
 
     def test_empty_module_gives_empty_matrix(self):
-        assert structure_map(CircleModule(()), F(1, 10), F(2, 10)).shape == (0, 0)
-
-    def test_rejects_long_arcs_and_bad_order(self):
-        m = CircleModule((CircleInterval(F(0), F(6, 10)),))
-        with pytest.raises(ValueError):
-            structure_map(m, F(0), F(1, 2))
-        with pytest.raises(ValueError):
-            structure_map(m, F(3, 10), F(1, 10))
+        assert step_composite(to_grid(CircleModule(()), 10), 1, 1).shape == (0, 0)
 
     def test_functoriality_on_random_triples(self):
         rng = random.Random(97)
@@ -168,31 +162,17 @@ class TestStructureMap:
                         lo, lo + length, rng.choice([OPEN, CLOSED]), rng.choice([OPEN, CLOSED])
                     )
                 )
-            m = CircleModule(tuple(intervals))
-            x = F(rng.randint(0, 19), 20)
-            step1 = F(rng.randint(1, 4), 20)
-            step2 = F(rng.randint(1, 4), 20)
-            y, z = x + step1, x + step1 + step2
-            composite = structure_map(m, y, z) @ structure_map(m, x, y)
-            direct = structure_map(m, x, z)
+            g = to_grid(CircleModule(tuple(intervals)), 20)
+            x, step1, step2 = rng.randint(0, 19), rng.randint(1, 4), rng.randint(1, 4)
+            composite = step_composite(g, x + step1, step2) @ step_composite(g, x, step1)
+            direct = step_composite(g, x, step1 + step2)
             assert composite == direct
             assert composite.tolist() == direct.tolist()
 
 
 class TestLift:
-    def test_unrolls_translates(self):
-        m = CircleModule((CircleInterval(F(2, 10), F(5, 10), CLOSED, OPEN),))
-        lifted = lift_module(m, 1)
-        spans = [(ival.lo, ival.hi) for ival in lifted.intervals]
-        assert spans == [
-            (F(-8, 10), F(-5, 10)),
-            (F(2, 10), F(5, 10)),
-            (F(12, 10), F(15, 10)),
-        ]
-
-    def test_empty_module_lifts_empty(self):
-        assert lift_module(CircleModule(()), 2) == LineModule(())
-
+    # the fiber read off the line: each translate x + k tested for membership
+    # in the interval on the line (scan_translate_basis)
     def test_dimension_agrees_away_from_the_window_edge(self):
         m = CircleModule(
             (
@@ -200,11 +180,14 @@ class TestLift:
                 CircleInterval(F(1, 10), F(12, 10), CLOSED, CLOSED),
             )
         )
-        lifted = lift_module(m, 1)
-        assert len(lifted.intervals) == 6
-        assert dim_at_line(lifted, F(15, 100)) == dim_at(m, F(15, 100))
+        # 0.15 in the first; 0.15 and 1.15 in the second, which winds
+        labels = translate_basis(m, F(15, 100))
+        assert labels == [(0, 0), (1, 0), (1, 1)]
+        assert labels == scan_translate_basis(m, F(15, 100))
 
     def test_dimension_agreement_on_randoms(self):
+        # closed singletons, and modules and points on the 1/20 grid, which the
+        # translate-scan comparison in test_interleaving (grids 4, 6, 8) never draws
         rng = random.Random(5)
         for _ in range(100):
             intervals = []
@@ -212,13 +195,8 @@ class TestLift:
                 lo = F(rng.randint(0, 19), 20)
                 intervals.append(CircleInterval(lo, lo + F(rng.randint(0, 20), 20), CLOSED, CLOSED))
             m = CircleModule(tuple(intervals))
-            lifted = lift_module(m, 2)
-            x = F(rng.randint(-20, 19), 20)  # at least one domain from the edge
-            assert dim_at_line(lifted, x) == dim_at(m, x)
-
-    def test_rejects_nonpositive_window(self):
-        with pytest.raises(ValueError):
-            lift_module(CircleModule(()), 0)
+            x = F(rng.randint(-20, 19), 20)
+            assert translate_basis(m, x) == scan_translate_basis(m, x)
 
 
 class TestDiagrams:
@@ -256,8 +234,10 @@ class TestDiagrams:
         doubled = LineModule((LineInterval(F(1), F(2)), LineInterval(F(1), F(2))))
         assert len(diagram_of_line(doubled).points) == 2
 
-        lifted = lift_module(CircleModule((CircleInterval(F(2, 10), F(5, 10)),)), 1)
-        coords = [(p.a, p.b) for p in diagram_of_line(lifted).points]
+        translates = LineModule(
+            tuple(LineInterval(F(2, 10) + k, F(5, 10) + k) for k in (-1, 0, 1))
+        )
+        coords = [(p.a, p.b) for p in diagram_of_line(translates).points]
         assert coords == [
             (F(-8, 10), F(-5, 10)),
             (F(2, 10), F(5, 10)),
@@ -272,4 +252,4 @@ class TestTranslateBasis:
         )
         labels = translate_basis(m, F(1, 4))
         assert labels == sorted(labels)
-        assert len(labels) == dim_at(m, F(1, 4))
+        assert labels == [(0, 0), (1, 0)]  # 5/4 is the first interval's open end

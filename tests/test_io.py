@@ -27,8 +27,9 @@ from circlepers import (
     ParseError,
 )
 from circlepers import io as fileio
-from circlepers.rationals import format_number, is_finite, parse_number
+from circlepers.rationals import _strip_factor, format_number, is_finite, parse_number
 from generators import random_invariant_matching
+from oracles import frozen_format_number
 
 F = Fraction
 DEFAULT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 4300)() == 4300
@@ -50,6 +51,46 @@ class TestNumberFormatting:
     def test_round_trips_through_the_parser(self):
         for value in [F(1, 5), F(-13, 8), F(1, 3), F(0), F(22, 7), INF, NEG_INF]:
             assert parse_number(format_number(value)) == value
+
+    @given(
+        numerator=st.integers(-(10**30), 10**30),
+        twos=st.integers(0, 80),
+        fives=st.integers(0, 80),
+        rest=st.sampled_from([1, 1, 3, 7, 9, 21]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_strings_as_the_division_loop(self, numerator, twos, fives, rest):
+        value = F(numerator, 2**twos * 5**fives * rest)
+        text = format_number(value)
+        assert text == frozen_format_number(value)
+        assert parse_number(text) == value
+
+    @pytest.mark.parametrize("p", [2, 5, 3])
+    def test_strip_factor_counts_every_factor(self, p):
+        for count in [0, 1, 2, 3, 7, 8, 63, 64, 65, 1000, 4299]:
+            for rest in [1, 7, 11 * 13]:
+                assert _strip_factor(p**count * rest, p) == (rest, count)
+
+    @pytest.mark.skipif(not DEFAULT_DIGIT_LIMIT, reason="the values sit at Python's default limit")
+    @pytest.mark.parametrize("value", [F(1, 10**4299), F(10**4300 - 1, 10)], ids=["places", "digits"])
+    def test_decimals_at_the_read_bound_write_as_before(self, value):
+        # 4300 digits each; 1e-4299 took 41 ms with one division per factor 5
+        text = format_number(value)
+        assert text == frozen_format_number(value)
+        assert "." in text and parse_number(text) == value
+
+    @pytest.mark.skipif(not DEFAULT_DIGIT_LIMIT, reason="the values sit at Python's default limit")
+    @pytest.mark.parametrize(
+        "value",
+        [F(1, 2**5000), F(-3, 2**14000), F(7, 5**5000), F(10**4000 + 1, 2**1000)],
+        ids=["twos", "many-twos", "fives", "digits"],
+    )
+    def test_a_decimal_past_the_read_bound_writes_a_ratio(self, value):
+        # each decimal would have more than 4300 digits, which `str` or the
+        # reader refuses; the ratio has fewer on each side
+        text = format_number(value)
+        assert text == f"{value.numerator}/{value.denominator}"
+        assert parse_number(text) == value
 
 
 class TestNumberGrammar:

@@ -1,4 +1,5 @@
 import inspect
+import math
 import random
 import sys
 from fractions import Fraction
@@ -6,15 +7,24 @@ from fractions import Fraction
 import pytest
 
 from circlepers import (
+    CLOSED,
+    OPEN,
+    CircleInterval,
+    CircleModule,
     Diagram,
+    LineInterval,
+    LineModule,
     PartialMatching,
     PlanePoint,
     INF,
     NEG_INF,
     bottleneck_plane,
+    bruteforce_distance,
     diag_cost,
+    diagram_of_line,
     linf,
     matching_cost,
+    to_grid,
 )
 from generators import random_partial_matching, random_plane_diagram
 from oracles import enumerate_bottleneck
@@ -171,3 +181,30 @@ class TestBottleneckPlane:
             sys.setrecursionlimit(limit)
         assert value == F(1, 2)
         assert matching_cost(a, b, witness) == value
+
+
+class TestAgainstTheGridSearch:
+    def test_grid_distance_is_the_plane_distance_rounded_up(self):
+        # closed-open line intervals in the first half of [0, 1), embedded as
+        # circle intervals: nothing wraps and every class distance is below
+        # 1/2 at shift 0, so the grid search, which never sees a diagram or a
+        # matching, must land on the first grid step at or above the plane
+        # bottleneck distance (the type-A isometry, sampled at 1/N)
+        n = 16
+        rng = random.Random(3)
+
+        def line_module():
+            intervals = []
+            for _ in range(rng.randint(0, 3)):
+                lo = rng.randrange(n // 2 - 1)
+                intervals.append(LineInterval(F(lo, n), F(rng.randint(lo + 1, n // 2 - 1), n), CLOSED, OPEN))
+            return LineModule(tuple(intervals))
+
+        def on_the_circle(m):
+            return CircleModule(tuple(CircleInterval(i.lo, i.hi, i.lo_kind, i.hi_kind) for i in m.intervals))
+
+        for trial in range(200):
+            a, b = line_module(), line_module()
+            d = bottleneck_plane(diagram_of_line(a), diagram_of_line(b)).value
+            grid_value = bruteforce_distance(to_grid(on_the_circle(a), n), to_grid(on_the_circle(b), n))
+            assert grid_value == F(math.ceil(n * d), n), (trial, a, b)

@@ -152,3 +152,11 @@ class TestBottleneckQuotient:
             ab = bottleneck_quotient(a, b).value
             assert ab == bottleneck_quotient(b, a).value
             assert bottleneck_quotient(a, c).value <= ab + bottleneck_quotient(b, c).value
+
+    @given(diagrams=st.lists(st.lists(quotient_points, max_size=12), min_size=3, max_size=3))
+    @settings(max_examples=40, deadline=None)
+    def test_triangle_inequality_past_enumeration(self, diagrams):
+        # up to 12 points a side, past what enumerate_bottleneck can check
+        a, b, c = (QuotientDiagram(tuple(points)) for points in diagrams)
+        ab = bottleneck_quotient(a, b).value
+        assert bottleneck_quotient(a, c).value <= ab + bottleneck_quotient(b, c).value
