@@ -29,7 +29,7 @@ from .intervals import (
 from .matching_transfer import InvariantMatching, OrbitPair
 from .metric_plane import Diagram, PartialMatching, PlanePoint
 from .metric_quotient import QuotientDiagram, QuotientPoint
-from .rationals import Ext, clipped, format_number, is_finite, parse_number, quoted
+from .rationals import Ext, clipped, fits, format_number, is_finite, parse_number, quoted
 
 
 class ParseError(ValueError):
@@ -98,6 +98,15 @@ def _values(line: str, line_no: int, fields: tuple[str, ...]) -> tuple[list, boo
         raise ParseError(line_no, f"missing field {exc}") from exc
 
 
+def _written(line_no: int, value) -> None:
+    """Refuse a canonical endpoint with no written form.  Canonicalisation
+    moves lo into [0, 1) with its denominator, which always leaves a form
+    that reads, but moves hi by the same integer, which can push it past
+    the digit bound."""
+    if not (fits(value.numerator) and fits(value.denominator)):
+        _on_line(line_no, format_number, value)
+
+
 def _integer(value, line_no: int, from_text: bool) -> int:
     """A text integer or a JSON integer (not 1.5, true or "1"), with no `_`."""
     if (from_text or isinstance(value, _JsonInt)) and "_" not in value:
@@ -135,7 +144,9 @@ def read_circle_module(text: str) -> CircleModule:
     for line_no, lo, hi, *kinds in _interval_rows(text):
         if not is_finite(lo) or not is_finite(hi):
             raise ParseError(line_no, "circle intervals must have finite endpoints")
-        intervals.append(_on_line(line_no, CircleInterval, lo, hi, *kinds))
+        interval = _on_line(line_no, CircleInterval, lo, hi, *kinds)
+        _written(line_no, interval.hi)
+        intervals.append(interval)
     return CircleModule(tuple(intervals))
 
 
@@ -178,7 +189,9 @@ def read_quotient_diagram(text: str, canonicalize: bool = True) -> QuotientDiagr
         if not canonicalize and not 0 <= a < 1:
             shown = ", ".join(clipped(format_number(v)) for v in (a, b))
             raise ParseError(line_no, f"point ({shown}) is not canonical")
-        points.extend([_on_line(line_no, QuotientPoint, a, b)] * multiplicity)
+        point = _on_line(line_no, QuotientPoint, a, b)
+        _written(line_no, point.b)
+        points.extend([point] * multiplicity)
     return QuotientDiagram(tuple(points))
 
 

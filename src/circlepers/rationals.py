@@ -6,11 +6,20 @@ coordinates are scaled by their common denominator, so costs are plain
 ints there and return as `Fraction`s.  Keeping endpoints and thresholds
 exact turns every distance comparison into a pure integer computation,
 which the bottleneck search and the interleaving feasibility tests rely on.
+
+Numbers enter through `parse_number` and leave through `format_number`
+(data files) and `format_ratio` (reported distances).  The reader matches
+one grammar of its own, that of Python 3.10's `Fraction`, so a token reads
+the same on every Python.  Its digit bound is the one `int()` applies to
+its digits (`sys.get_int_max_str_digits()`), and the writers refuse, with a
+ValueError that names it, any value whose written form would pass it: every
+text they write reads back.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -73,50 +82,46 @@ def as_fraction(value) -> Fraction:
     return x
 
 
-def _digits(token: str) -> int:
-    """How many digits a number token needs: a ratio's longer side, or the
-    most of a decimal's digit runs and of its value's digits written out
-    without an exponent (as `format_number` writes it); ValueError if the
-    token is not a number."""
-    unsigned = token[1:] if token[:1] in ("+", "-") else token
-    if "/" in unsigned:
-        sides = unsigned.split("/")
-        if not "".join(sides).isdecimal():
-            raise ValueError(token)
-        return max(map(len, sides))
-    mantissa, _, exponent = unsigned.partition("e")
-    whole, _, fraction = mantissa.partition(".")
-    if not (whole + fraction).isdecimal():
-        raise ValueError(token)
-    significant = (whole + fraction).lstrip("0")
-    # the decimal point's place, counted from the first significant digit
-    point = len(significant) - len(fraction) + int(exponent or 0)
-    significant = significant.rstrip("0")
-    return max(len(whole), len(fraction), len(significant), point, len(significant) - point)
+# Python 3.10's `Fraction` grammar, `\d` being any Unicode decimal digit as
+# in `int()`, and the two infinities; matched against the stripped token
+_NUMBER = re.compile(
+    r"""(?P<sign>[-+]?)
+    (?: (?P<inf>[iI][nN][fF])
+      | (?P<num>\d+)/(?P<den>\d+)
+      | (?=\.?\d)(?P<whole>\d*)(?:\.(?P<fraction>\d*))?(?:[eE](?P<exp>[-+]?\d+))?
+    )""",
+    re.VERBOSE,
+)
 
 
 def parse_number(text: str) -> Ext:
-    """A decimal, a ratio "p/q" or an infinity, read the same on every Python:
-    no `_` or inner space (`Fraction` takes `1_0` from 3.11, `1 / 2` from 3.12),
-    and no value longer than `int()` converts, refused before `Fraction` would
-    spend seconds on `1e10000000` or make what no writer can write."""
-    t = text.strip()
-    low = t.lower()
-    if low in ("inf", "+inf"):
-        return INF
-    if low == "-inf":
-        return NEG_INF
+    """A decimal, a ratio "p/q" or an infinity, by the one grammar above on
+    every Python; a value longer than `int()` converts is refused before any
+    power of ten is built."""
+    match = _NUMBER.fullmatch(text.strip())
+    if match is None:
+        raise ValueError(f"not a number: {quoted(text)}")
+    sign, inf, num, den, whole, fraction, exp = match.groups("")
+    if inf:
+        return NEG_INF if sign == "-" else INF
+    limit = _int_digits_limit()
     try:
-        # a space inside counts only in a ratio (Fraction) or an exponent (int)
-        if "_" in t or (("/" in t or "e" in low) and len(t.split()) > 1):
-            raise ValueError(t)
-        # only an exponent makes a value longer than its token, and Python's
-        # limit is 0 (none) or at least 640 digits
-        limit = _int_digits_limit() if "e" in low or len(t) > 640 else 0
-        if not limit or _digits(low) <= limit:
-            return Fraction(t)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a number: {quoted(text)}") from exc
+        if den:
+            if not limit or max(len(num), len(den)) <= limit:
+                return Fraction(int(sign + num), int(den))
+        else:
+            significant = (whole + fraction).lstrip("0")
+            # the decimal point's place, counted from the first significant digit
+            point = len(significant) - len(fraction) + int(exp or 0)
+            significant = significant.rstrip("0")
+            # the token's digit runs, and the value's digits written out in full
+            digits = max(len(whole), len(fraction), len(significant), point, len(significant) - point)
+            if not limit or digits <= limit:
+                # `int()` counts leading zeros against its limit: convert the significant digits only
+                n, scale = int(sign + (significant or "0")), point - len(significant)
+                return Fraction(n * 10**scale) if scale >= 0 else Fraction(n, 10**-scale)
+    except (ValueError, ZeroDivisionError):  # an exponent longer than `int()` converts, or p/0
+        raise ValueError(f"not a number: {quoted(text)}") from None
     raise ValueError(f"more than {limit} digits: {quoted(text)}")
 
 
@@ -129,38 +134,55 @@ def _strip_factor(n: int, f: int) -> tuple[int, int]:
     return (n // f, 2 * pairs + 1) if n % f == 0 else (n, 2 * pairs)
 
 
+def fits(n: int) -> bool:
+    """Whether *n* has at most as many digits as `int()` converts, so its
+    text reads back; Python's limit is 0 (none) or at least 640 digits, and
+    2^2126 < 10^640."""
+    if n.bit_length() <= 2126:
+        return True
+    limit = _int_digits_limit()
+    return not limit or abs(n) < 10**limit
+
+
+def _ratio_text(p: int, d: int) -> str:
+    # "p/q", or "p" for an integer; an int past the bound has no text `int()` reads
+    if not (fits(p) and fits(d)):
+        limit = _int_digits_limit()
+        raise ValueError(f"more than {limit} digits: no written form of the value reads back")
+    return str(p) if d == 1 else f"{p}/{d}"
+
+
 def format_number(x: Ext) -> str:
     """Render exactly, preferring plain decimals (used in data files).
 
     Values whose denominator has only factors 2 and 5 come out as terminating
     decimals ("0.2"), unless the decimal has more digits than `parse_number`
     reads; anything else falls back to "p/q".  Both forms parse back
-    bit-exactly.
+    bit-exactly, and a value with neither form that fits is a ValueError.
     """
     if not is_finite(x):
         return "inf" if x > 0 else "-inf"
     p, d = x.numerator, x.denominator
     if d == 1:
-        return str(p)
+        return _ratio_text(p, d)
     twos = (d & -d).bit_length() - 1
     rest, fives = _strip_factor(d >> twos, 5)
     if rest != 1:
-        return f"{p}/{d}"
+        return _ratio_text(p, d)
     places = max(twos, fives)
-    scaled = abs(p) * 10**places // d
-    # a decimal longer than `int()` converts would not read back; Python's
-    # limit is 0 (none) or at least 640 digits, and 2^1920 < 10^640
-    if places > 640 or scaled.bit_length() > 1920:
-        limit = _int_digits_limit()
-        if limit and (places > limit or scaled >= 10**limit):
-            return f"{p}/{d}"
+    unit = 10**places
+    scaled = abs(p) * unit // d
+    # the decimal's digit runs: scaled's digits, and the `places` after the point
+    if not fits(max(scaled, unit - 1)):
+        return _ratio_text(p, d)
     digits = str(scaled).rjust(places + 1, "0")
     sign = "-" if p < 0 else ""
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
 def format_ratio(x: Ext) -> str:
-    """Render as an exact ratio ("3/5"), the form used for reported distances."""
+    """Render as an exact ratio ("3/5"), the form used for reported distances;
+    a value with no ratio that fits is a ValueError."""
     if not is_finite(x):
         return "inf" if x > 0 else "-inf"
-    return str(x)
+    return _ratio_text(x.numerator, x.denominator)

@@ -3,7 +3,8 @@
 Most of it works by definition-level enumeration: all partial matchings,
 all integer translates in a window, and so on.  The rest are kernels frozen
 as they were before a faster one replaced them: the numpy grid search, the
-`Fraction` grid sampler and the `Fraction` bottleneck search.  None of it
+`Fraction` grid sampler, the `Fraction` bottleneck search and the number
+reader and writer.  None of it
 shares code with the algorithmic paths it is used to verify.  Two grid
 tools live here too, because only tests build with them: the blockwise
 direct sum and the loop-nilpotency check.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -31,7 +33,7 @@ from circlepers.gf2 import Matrix
 from circlepers.interleaving import DEFAULT_BUDGET
 from circlepers.metric_plane import PartialMatching, PlanePoint
 from circlepers.metric_quotient import QuotientPoint
-from circlepers.rationals import INF, NEG_INF, Ext, is_finite
+from circlepers.rationals import INF, NEG_INF, Ext, is_finite, quoted
 
 
 def enumerate_bottleneck(pair_costs, diag_a, diag_b) -> Ext:
@@ -539,3 +541,49 @@ def frozen_format_number(x: Fraction) -> str:
     places = max(twos, fives)
     digits = str(abs(x.numerator) * 10**places // x.denominator).rjust(places + 1, "0")
     return f"{'-' if x.numerator < 0 else ''}{digits[:-places]}.{digits[-places:]}"
+
+
+# -- the number reader, frozen as the reference ------------------------------
+#
+# `parse_number` as it was before it matched one grammar of its own:
+# `Fraction`'s reading of the token behind checks that refuse `_` and inner
+# spaces, with a second scanner, `_digits`, counting the digits for the bound.
+# Every token must read to the same value and type, or fail with the same
+# message.
+
+_frozen_int_digits_limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)
+
+
+def _frozen_digits(token: str) -> int:
+    unsigned = token[1:] if token[:1] in ("+", "-") else token
+    if "/" in unsigned:
+        sides = unsigned.split("/")
+        if not "".join(sides).isdecimal():
+            raise ValueError(token)
+        return max(map(len, sides))
+    mantissa, _, exponent = unsigned.partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    if not (whole + fraction).isdecimal():
+        raise ValueError(token)
+    significant = (whole + fraction).lstrip("0")
+    point = len(significant) - len(fraction) + int(exponent or 0)
+    significant = significant.rstrip("0")
+    return max(len(whole), len(fraction), len(significant), point, len(significant) - point)
+
+
+def frozen_parse_number(text: str) -> Ext:
+    t = text.strip()
+    low = t.lower()
+    if low in ("inf", "+inf"):
+        return INF
+    if low == "-inf":
+        return NEG_INF
+    try:
+        if "_" in t or (("/" in t or "e" in low) and len(t.split()) > 1):
+            raise ValueError(t)
+        limit = _frozen_int_digits_limit() if "e" in low or len(t) > 640 else 0
+        if not limit or _frozen_digits(low) <= limit:
+            return Fraction(t)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not a number: {quoted(text)}") from exc
+    raise ValueError(f"more than {limit} digits: {quoted(text)}")

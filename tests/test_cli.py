@@ -2,19 +2,27 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
+from contextlib import redirect_stdout
 from fractions import Fraction
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import circlepers
 from circlepers import QuotientPoint, bottleneck_plane, cli
 from circlepers import io as fileio
 from circlepers.cli import main
+from circlepers.intervals import KIND_CODES
+from circlepers.rationals import format_number
 
 F = Fraction
 LONG = "1" * 4000
+NO_FORM = "more than 4300 digits: no written form of the value reads back"
 
 
 def write(tmp_path, name, text):
@@ -93,6 +101,40 @@ class TestDgm:
         assert main(["dgm", "circle", path, "-o", str(out_path)]) == 0
         assert out_path.read_text() == "0.2 0.5 1\n"
         assert capsys.readouterr().out == ""
+
+
+def _dgm_circle(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "iv.txt"
+        path.write_text(text, encoding="utf-8")
+        out = StringIO()
+        with redirect_stdout(out):
+            assert main(["dgm", "circle", str(path)]) == 0
+    return out.getvalue()
+
+
+circle_rows = st.lists(
+    st.tuples(
+        st.sampled_from(sorted(KIND_CODES)),
+        st.fractions(0, 1, max_denominator=24).filter(lambda f: f < 1),
+        st.fractions(0, 2, max_denominator=24),
+        st.integers(-3, 3),
+    ).filter(lambda row: row[2] > 0 or row[0] == "cc"),
+    max_size=6,
+)
+
+
+class TestChoiceOfRepresentative:
+    @given(rows=circle_rows)
+    @settings(max_examples=60, deadline=None)
+    def test_any_integer_translate_of_each_interval_gives_the_same_bytes(self, rows):
+        def text(shifted):
+            return "".join(
+                f"{kind} {format_number(lo + k * shifted)} {format_number(lo + length + k * shifted)}\n"
+                for kind, lo, length, k in rows
+            )
+
+        assert _dgm_circle(text(True)) == _dgm_circle(text(False))
 
 
 class TestDistance:
@@ -376,6 +418,42 @@ class TestExitCodes:
         diagram = write(tmp_path, "dgm.txt", out)
         assert main(["distance", "bottleneck", diagram, diagram]) == 0
         assert capsys.readouterr().out == "0\n"
+
+    @pytest.mark.skipif(
+        getattr(sys, "get_int_max_str_digits", lambda: 4300)() != 4300,
+        reason="the values sit at Python's default limit",
+    )
+    @pytest.mark.parametrize(
+        "argv, line",
+        [(["dgm", "circle"], "co -{0} {0}\n"), (["distance", "bottleneck-q"], "-{0} {0}\n")],
+        ids=["dgm-circle", "bottleneck-q"],
+    )
+    def test_a_canonical_endpoint_past_the_digit_bound_is_refused_on_its_line(
+        self, tmp_path, capsys, argv, line
+    ):
+        # both ends read, but the shift that moves lo to 0 moves hi to
+        # 2·(10^4300 − 1), whose 4301 digits no form writes; this crashed the
+        # writer with Python's own message and no line number
+        path = write(tmp_path, "in.txt", line.format("9" * 4300))
+        files = [path] if argv[0] == "dgm" else [path, path]
+        assert main(argv + files) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: line 1: {NO_FORM}\n"
+
+    @pytest.mark.skipif(
+        getattr(sys, "get_int_max_str_digits", lambda: 4300)() != 4300,
+        reason="the values sit at Python's default limit",
+    )
+    def test_a_distance_past_the_digit_bound_is_refused(self, tmp_path, capsys):
+        # each point reads, but their pair cost, the distance, has the reduced
+        # denominator 2^14000·3^8000 of 8032 digits
+        a = write(tmp_path, "a.txt", f"0 {2**14000 + 1}/{2**14000}\n")
+        b = write(tmp_path, "b.txt", f"0 {3**8000 + 1}/{3**8000}\n")
+        assert main(["distance", "bottleneck", a, b]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {NO_FORM}\n"
 
     def test_unexpected_exception_exits_3(self, tmp_path, capsys, monkeypatch):
         def broken(args):

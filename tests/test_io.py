@@ -27,9 +27,9 @@ from circlepers import (
     ParseError,
 )
 from circlepers import io as fileio
-from circlepers.rationals import _strip_factor, format_number, is_finite, parse_number
+from circlepers.rationals import _strip_factor, format_number, format_ratio, is_finite, parse_number
 from generators import random_invariant_matching
-from oracles import frozen_format_number
+from oracles import frozen_format_number, frozen_parse_number
 
 F = Fraction
 DEFAULT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 4300)() == 4300
@@ -93,6 +93,26 @@ class TestNumberFormatting:
         assert parse_number(text) == value
 
 
+    @pytest.mark.skipif(not DEFAULT_DIGIT_LIMIT, reason="the values sit at Python's default limit")
+    @pytest.mark.parametrize(
+        "value",
+        [F(2 * (10**4300 - 1)), F(1, 2**14000 * 3**8000), F(10**4300 + 1, 10**4300)],
+        ids=["integer", "denominator", "decimal-and-ratio"],
+    )
+    def test_a_value_with_no_form_that_reads_back_is_refused(self, value):
+        # `str` of such an int raised Python's own error, naming no bound
+        for write in (format_number, format_ratio):
+            with pytest.raises(ValueError, match="^more than 4300 digits: no written form"):
+                write(value)
+
+    @pytest.mark.skipif(not DEFAULT_DIGIT_LIMIT, reason="the value sits at Python's default limit")
+    def test_a_decimal_that_fits_is_written_though_its_denominator_does_not(self):
+        value = F(1, 10**4300)  # a 4301-digit denominator, 4300 places
+        text = format_number(value)
+        assert text == "0." + "0" * 4299 + "1"
+        assert parse_number(text) == value
+
+
 class TestNumberGrammar:
     """Numbers read the same on every supported Python, and a decimal value
     read writes back to itself."""
@@ -143,6 +163,65 @@ class TestNumberGrammar:
         assert time.perf_counter() - start < 0.5
 
 
+NUMBER_PIECES = [*"0123456789+-./eE_ \tx", "inf", "\u0661", "\uff12", "\u00b2"]
+
+
+def _outcome(parse, token):
+    """What *parse* makes of *token*: its value and type, or its message."""
+    try:
+        value = parse(token)
+    except ValueError as exc:
+        return "refused", str(exc)
+    return type(value), value
+
+
+class TestAgainstTheFrozenReader:
+    """`parse_number` matches one grammar of its own where it used to read
+    with `Fraction` behind pre-checks and a second digit scanner; every
+    token reads as before."""
+
+    @given(token=st.lists(st.sampled_from(NUMBER_PIECES), max_size=10).map("".join))
+    @settings(max_examples=1500, deadline=None)
+    def test_every_token_reads_as_before(self, token):
+        # the pieces: ASCII, Arabic-Indic and fullwidth digits, a superscript
+        # two (not a decimal digit), signs, separators, spaces and infinities
+        assert _outcome(parse_number, token) == _outcome(frozen_parse_number, token)
+
+    @pytest.mark.skipif(not DEFAULT_DIGIT_LIMIT, reason="the tokens sit at Python's default limit")
+    @pytest.mark.parametrize(
+        "token",
+        [
+            "0." + "0" * 4298 + "1",  # `int()` of all its digits would count the zeros
+            "0." + "0" * 4299 + "1",
+            "0" * 5000 + "1",
+            "1e4300",
+            "1e-4300",
+            "9" * 4300,
+            "1/" + "3" * 4300,
+            "1/" + "3" * 4301,
+            "1/" + "0" * 4300,
+            "1e" + "0" * 4301,  # an exponent longer than `int()` converts
+            "1e99999999999999999999",
+            "1/0",
+            "5.e3",
+            "+.5",
+            "-0",
+            "-INF",
+            "\u0130nf",
+        ],
+    )
+    def test_tokens_at_the_bound_read_as_before(self, token):
+        assert _outcome(parse_number, token) == _outcome(frozen_parse_number, token)
+
+    @pytest.mark.skipif(not DEFAULT_DIGIT_LIMIT, reason="the tokens sit at Python's default limit")
+    @pytest.mark.parametrize("token", ["1/2/" + "3" * 5000, "/" + "3" * 5000, "1" * 5000 + "e"])
+    def test_a_long_token_outside_the_grammar_is_not_a_number(self, token):
+        # the one change: the frozen scanner counted digits in some tokens
+        # that `Fraction` then refused, and reported the count
+        assert _outcome(frozen_parse_number, token)[1].startswith("more than 4300 digits: ")
+        assert _outcome(parse_number, token)[1].startswith("not a number: ")
+
+
 class TestIntervalFiles:
     def test_reads_kinds_comments_and_blanks(self):
         text = "# header\ncc 0.2 0.5\n\noo -1 2.5  # trailing comment\n"
@@ -180,6 +259,18 @@ class TestIntervalFiles:
                 reader(text)
             assert err.value.line_no == 2
             assert err.value.message == "unknown field 'hi_kind' (use kind, lo, hi)"
+
+    @pytest.mark.skipif(not DEFAULT_DIGIT_LIMIT, reason="the values sit at Python's default limit")
+    def test_a_canonical_endpoint_with_no_written_form_is_refused_on_its_line(self):
+        tiny = "0." + "0" * 4299 + "1"  # 1/10^4300 reads, and writes as this decimal
+        assert fileio.read_circle_module(f"co 0 {tiny}\n").intervals[0].hi == F(1, 10**4300)
+        # shifted by 1, the decimal has 4301 digits and the ratio's denominator too
+        for read, text in [
+            (fileio.read_circle_module, f"co 0 1\nco -1 {tiny}\n"),
+            (fileio.read_quotient_diagram, f"0 1\n-1 {tiny}\n"),
+        ]:
+            with pytest.raises(ParseError, match="^line 2: more than 4300 digits: "):
+                read(text)
 
     def test_write_read_round_trip(self):
         module = LineModule(

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circlepers import (
     InvariantMatching,
@@ -162,6 +164,38 @@ class TestLiftMatching:
             matching = random_partial_matching(rng, len(a.points), len(b.points))
             lifted = lift_matching(a, b, matching)
             assert project_matching(lifted) == matching
+
+
+quotient_diagrams = st.lists(
+    st.builds(
+        lambda a, pers: QuotientPoint(a, a + pers),
+        st.fractions(0, 1, max_denominator=20).filter(lambda a: a < 1),
+        st.fractions(0, 2, max_denominator=20),
+    ),
+    max_size=6,
+).map(lambda points: QuotientDiagram(tuple(points)))
+
+
+@st.composite
+def matched_diagrams(draw):
+    """Two quotient diagrams and a partial matching between them."""
+    a, b = draw(quotient_diagrams), draw(quotient_diagrams)
+    left = draw(st.permutations(range(len(a.points))))
+    right = draw(st.permutations(range(len(b.points))))
+    count = draw(st.integers(0, min(len(left), len(right))))
+    pairs = set(zip(left[:count], right[:count]))
+    return a, b, PartialMatching.from_pairs(pairs, len(a.points), len(b.points))
+
+
+class TestLiftThenProject:
+    @given(instance=matched_diagrams())
+    @settings(max_examples=60, deadline=None)
+    def test_keeps_the_pairs_and_never_raises_the_cost(self, instance):
+        a, b, matching = instance
+        lifted = lift_matching(a, b, matching)
+        projected = project_matching(lifted)
+        assert projected.pairs == matching.pairs
+        assert matching_cost_quotient(a, b, projected) <= invariant_cost(lifted)
 
 
 class TestOptimaAgreeAcrossTheQuotient:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circlepers import io as fileio
 from circlepers import (
     PlanePoint,
     QuotientDiagram,
@@ -16,6 +17,7 @@ from circlepers import (
     quotient_linf,
     quotient_linf_with_shift,
 )
+from circlepers.rationals import format_number
 from generators import random_quotient_diagram, random_quotient_point
 from oracles import enumerate_bottleneck, window_quotient_linf
 
@@ -26,6 +28,7 @@ quotient_points = st.builds(
     st.fractions(min_value=0, max_value=3, max_denominator=20),
     st.fractions(min_value=0, max_value=2, max_denominator=20),
 )
+translated_sides = st.lists(st.tuples(quotient_points, st.integers(-3, 3)), max_size=8)
 
 
 class TestQuotientPoint:
@@ -160,3 +163,14 @@ class TestBottleneckQuotient:
         a, b, c = (QuotientDiagram(tuple(points)) for points in diagrams)
         ab = bottleneck_quotient(a, b).value
         assert bottleneck_quotient(a, c).value <= ab + bottleneck_quotient(b, c).value
+
+    @given(sides=st.lists(translated_sides, min_size=2, max_size=2))
+    @settings(max_examples=60, deadline=None)
+    def test_any_integer_translate_of_each_point_gives_the_same_value_and_witness(self, sides):
+        # each class is read from its canonical representative shifted by its own (k, k)
+        def read(side):
+            lines = [f"{format_number(p.a + k)} {format_number(p.b + k)}\n" for p, k in side]
+            return fileio.read_quotient_diagram("".join(lines))
+
+        canonical = [QuotientDiagram(tuple(p for p, _ in side)) for side in sides]
+        assert bottleneck_quotient(*map(read, sides)) == bottleneck_quotient(*canonical)
