@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .metric_plane import Diagram, PlanePoint
 from .metric_quotient import QuotientDiagram, QuotientPoint
-from .rationals import NEG_INF, INF, Ext, as_ext, as_fraction, clipped, is_finite
+from .rationals import NEG_INF, INF, Ext, as_ext, as_fraction, is_finite, order_key, shown
 
 
 class EndpointKind(Enum):
@@ -39,7 +39,7 @@ def kind_code(lo_kind: EndpointKind, hi_kind: EndpointKind) -> str:
     return lo_kind.value + hi_kind.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LineInterval:
     """An interval |lo, hi| on the real line with explicit endpoint kinds.
 
@@ -56,9 +56,7 @@ class LineInterval:
         object.__setattr__(self, "lo", as_ext(self.lo))
         object.__setattr__(self, "hi", as_ext(self.hi))
         if self.lo > self.hi:
-            raise ValueError(
-                f"interval endpoints out of order: {clipped(self.lo)} > {clipped(self.hi)}"
-            )
+            raise ValueError(f"interval endpoints out of order: {shown(self.lo)} > {shown(self.hi)}")
         if self.lo == INF or self.hi == NEG_INF:
             raise ValueError("interval cannot sit at a single infinity")
         if not is_finite(self.lo) and self.lo_kind is not OPEN:
@@ -88,7 +86,7 @@ class LineInterval:
         return PlanePoint(self.lo, self.hi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CircleInterval:
     """Translation class of a finite interval, stored with lo in [0, 1).
 
@@ -107,7 +105,7 @@ class CircleInterval:
         lo = as_fraction(self.lo)
         hi = as_fraction(self.hi)
         if lo > hi:
-            raise ValueError(f"interval endpoints out of order: {clipped(lo)} > {clipped(hi)}")
+            raise ValueError(f"interval endpoints out of order: {shown(lo)} > {shown(hi)}")
         shift = math.floor(lo)
         object.__setattr__(self, "lo", lo - shift)
         object.__setattr__(self, "hi", hi - shift)
@@ -120,7 +118,7 @@ class CircleInterval:
 
 
 def _sort_key(ival: LineInterval | CircleInterval):
-    return (ival.lo, ival.hi, ival.lo_kind.value, ival.hi_kind.value)
+    return (*order_key(ival.lo), *order_key(ival.hi), ival.lo_kind.value, ival.hi_kind.value)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ malformed value is a `ParseError` that names its line.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from typing import Iterator
 
 from .intervals import (
@@ -29,7 +28,7 @@ from .intervals import (
 from .matching_transfer import InvariantMatching, OrbitPair
 from .metric_plane import Diagram, PartialMatching, PlanePoint
 from .metric_quotient import QuotientDiagram, QuotientPoint
-from .rationals import Ext, clipped, fits, format_number, is_finite, parse_number, quoted
+from .rationals import Ext, fits, format_number, is_finite, parse_number, quoted, shown
 
 
 class ParseError(ValueError):
@@ -187,8 +186,7 @@ def read_quotient_diagram(text: str, canonicalize: bool = True) -> QuotientDiagr
         if not is_finite(a) or not is_finite(b):
             raise ParseError(line_no, "quotient diagram points must be finite")
         if not canonicalize and not 0 <= a < 1:
-            shown = ", ".join(clipped(format_number(v)) for v in (a, b))
-            raise ParseError(line_no, f"point ({shown}) is not canonical")
+            raise ParseError(line_no, f"point ({shown(a)}, {shown(b)}) is not canonical")
         point = _on_line(line_no, QuotientPoint, a, b)
         _written(line_no, point.b)
         points.extend([point] * multiplicity)
@@ -196,10 +194,16 @@ def read_quotient_diagram(text: str, canonicalize: bool = True) -> QuotientDiagr
 
 
 def _write_points(points, fmt: str) -> str:
-    # the points are sorted, and a Counter keeps first-seen order
+    # the points are sorted, so equal points are adjacent: one line per run;
+    # b is compared first, since neighbours in sorted order often share a
     lines = []
-    for point, multiplicity in Counter(points).items():
-        values = (format_number(point.a), format_number(point.b), multiplicity)
+    run = 0
+    for point, following in zip(points, points[1:] + (None,)):
+        run += 1
+        if following is not None and following.b == point.b and following.a == point.a:
+            continue
+        values = (format_number(point.a), format_number(point.b), run)
+        run = 0
         if fmt == "json-lines":
             lines.append(json.dumps(dict(zip(_POINT_FIELDS, values))))
         else:

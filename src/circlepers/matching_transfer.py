@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .metric_plane import PartialMatching, linf
+from .metric_plane import PartialMatching, _pair_cost, common_denominator, scaled, unscaled
 from .metric_quotient import (
     QuotientDiagram,
     QuotientPoint,
@@ -82,9 +82,14 @@ def invariant_cost(m: InvariantMatching) -> Ext:
     """
     costs: list[Ext] = [Fraction(0)]
     for op in m.orbit_pairs:
-        costs.append(
-            linf(m.classes_a[op.a].representative(0), m.classes_b[op.b].representative(op.shift))
+        p, q = m.classes_a[op.a], m.classes_b[op.b]
+        # linf((p.a, p.b), (q.a + op.shift, q.b + op.shift)), on the pair's own scale
+        scale = common_denominator((p.a, p.b, q.a, q.b))
+        shift = op.shift * scale
+        cost = _pair_cost(
+            scaled(p.a, scale), scaled(p.b, scale), scaled(q.a, scale) + shift, scaled(q.b, scale) + shift
         )
+        costs.append(unscaled(cost, scale))
     costs.extend(m.classes_a[i].persistence / 2 for i in m.unmatched_a())
     costs.extend(m.classes_b[j].persistence / 2 for j in m.unmatched_b())
     return max(costs)
@@ -117,7 +122,7 @@ def lift_matching(
     orbit_pairs = set()
     for i, j in matching.pairs:
         _, k = quotient_linf_with_shift(a.points[i], b.points[j])
-        # the class distance is linf(p.representative(k), q.representative(0)),
+        # the class distance is linf((p.a + k, p.b + k), (q.a, q.b)),
         # and an orbit pair at shift -k matches exactly those representatives
         orbit_pairs.add(OrbitPair(i, j, -k))
     return InvariantMatching(a.points, b.points, frozenset(orbit_pairs))

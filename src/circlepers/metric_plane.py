@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .rationals import NEG_INF, INF, Ext, as_ext, clipped, is_finite
+from .rationals import NEG_INF, INF, Ext, as_ext, is_finite, order_key, shown
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlanePoint:
     """A diagram point (a, b) in the extended plane, a <= b."""
 
@@ -29,13 +29,13 @@ class PlanePoint:
         object.__setattr__(self, "a", as_ext(self.a))
         object.__setattr__(self, "b", as_ext(self.b))
         if self.a > self.b:
-            raise ValueError(f"birth exceeds death: ({clipped(self.a)}, {clipped(self.b)})")
+            raise ValueError(f"birth exceeds death: ({shown(self.a)}, {shown(self.b)})")
         if not is_finite(self.a) and not is_finite(self.b) and self.a == self.b:
             raise ValueError("point cannot have both coordinates at the same infinity")
 
 
 def _point_key(p: PlanePoint):
-    return (p.a, p.b)
+    return (*order_key(p.a), *order_key(p.b))
 
 
 @dataclass(frozen=True)

@@ -16,16 +16,15 @@ from .metric_plane import (
     BottleneckResult,
     Diagram,
     PartialMatching,
-    PlanePoint,
     common_denominator,
     scaled,
     solve_bottleneck,
     unscaled,
 )
-from .rationals import as_fraction, clipped
+from .rationals import as_fraction, shown
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuotientPoint:
     """Class of a finite plane point under diagonal integer shifts.
 
@@ -40,7 +39,7 @@ class QuotientPoint:
         a = as_fraction(self.a)
         b = as_fraction(self.b)
         if a > b:
-            raise ValueError(f"birth exceeds death: ({clipped(a)}, {clipped(b)})")
+            raise ValueError(f"birth exceeds death: ({shown(a)}, {shown(b)})")
         shift = math.floor(a)
         object.__setattr__(self, "a", a - shift)
         object.__setattr__(self, "b", b - shift)
@@ -48,10 +47,6 @@ class QuotientPoint:
     @property
     def persistence(self) -> Fraction:
         return self.b - self.a
-
-    def representative(self, n: int = 0) -> PlanePoint:
-        """The canonical representative shifted diagonally by *n*."""
-        return PlanePoint(self.a + n, self.b + n)
 
 
 @dataclass(frozen=True)
@@ -69,7 +64,7 @@ def quotient_linf_with_shift(p: QuotientPoint, q: QuotientPoint) -> tuple[Fracti
     is |k - c| + |u - v|/2 with c = -(u+v)/2, so the optimum is the integer
     nearest to c, ties going to the smaller one.  The returned k shifts the
     *first* argument's representative onto the minimising pair: the value
-    equals linf(p.representative(k), q.representative()).
+    equals linf((p.a + k, p.b + k), (q.a, q.b)).
     """
     u = p.a - q.a
     v = p.b - q.b

@@ -14,6 +14,9 @@ the same on every Python.  Its digit bound is the one `int()` applies to
 its digits (`sys.get_int_max_str_digits()`), and the writers refuse, with a
 ValueError that names it, any value whose written form would pass it: every
 text they write reads back.
+
+Modules and diagrams are kept sorted by `order_key`, the one ordering rule:
+an exact key whose size does not depend on the other values in the file.
 """
 
 from __future__ import annotations
@@ -41,6 +44,12 @@ def clipped(value) -> str:
     return text
 
 
+def shown(x: Ext) -> str:
+    """*x* in its data-file form for an error message, clipped like
+    :func:`clipped`; unlike ``str(x)``, every value that reads has one."""
+    return clipped(format_number(x))
+
+
 def quoted(value) -> str:
     """``repr(value)`` for an error message, clipped like :func:`clipped`."""
     return clipped(repr(value))
@@ -48,6 +57,19 @@ def quoted(value) -> str:
 
 def is_finite(x: Ext) -> bool:
     return isinstance(x, Fraction)
+
+
+def order_key(x: Ext) -> tuple:
+    """An exact sort key for *x*: ``(floor(x * 2^64), x)``, or ``(x,)`` for
+    an infinity.  The int orders all but values within 2^-64 of each other
+    without a `Fraction` comparison, and compares exactly with +-inf.
+
+    The keys of several values may be concatenated into one flat tuple: a
+    finite value's int never equals an infinity, so two such tuples differ
+    at the latest where their parts would stop lining up."""
+    if isinstance(x, Fraction):
+        return ((x.numerator << 64) // x.denominator, x)
+    return (x,)
 
 
 def as_ext(value) -> Ext:

@@ -3,8 +3,9 @@
 Most of it works by definition-level enumeration: all partial matchings,
 all integer translates in a window, and so on.  The rest are kernels frozen
 as they were before a faster one replaced them: the numpy grid search, the
-`Fraction` grid sampler, the `Fraction` bottleneck search and the number
-reader and writer.  None of it
+`Fraction` grid sampler, the `Fraction` bottleneck search, the number
+reader and writer, the `Fraction` sort keys, the orbit cost on plane
+representatives and the `Counter` diagram writer.  None of it
 shares code with the algorithmic paths it is used to verify.  Two grid
 tools live here too, because only tests build with them: the blockwise
 direct sum and the loop-nilpotency check.
@@ -13,8 +14,10 @@ direct sum and the loop-nilpotency check.
 from __future__ import annotations
 
 import bisect
+import json
 import math
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -33,7 +36,7 @@ from circlepers.gf2 import Matrix
 from circlepers.interleaving import DEFAULT_BUDGET
 from circlepers.metric_plane import PartialMatching, PlanePoint
 from circlepers.metric_quotient import QuotientPoint
-from circlepers.rationals import INF, NEG_INF, Ext, is_finite, quoted
+from circlepers.rationals import INF, NEG_INF, Ext, format_number, is_finite, quoted
 
 
 def enumerate_bottleneck(pair_costs, diag_a, diag_b) -> Ext:
@@ -587,3 +590,41 @@ def frozen_parse_number(text: str) -> Ext:
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a number: {quoted(text)}") from exc
     raise ValueError(f"more than {limit} digits: {quoted(text)}")
+
+
+# -- the order, the orbit cost and the diagram writer, frozen as the reference
+#
+# How modules and diagrams were sorted, orbit matchings costed and diagrams
+# written before the order keys were exact ints: by comparing `Fraction`s,
+# by `linf` of plane representatives, and by a `Counter` of the points.  The
+# library must give the same tuples, the same cost (type included) and the
+# same bytes.
+
+
+def frozen_interval_key(ival):
+    return (ival.lo, ival.hi, ival.lo_kind.value, ival.hi_kind.value)
+
+
+def frozen_point_key(p):
+    return (p.a, p.b)
+
+
+def frozen_invariant_cost(m) -> Ext:
+    costs: list[Ext] = [Fraction(0)]
+    for op in m.orbit_pairs:
+        p, q = m.classes_a[op.a], m.classes_b[op.b]
+        costs.append(frozen_linf(PlanePoint(p.a, p.b), PlanePoint(q.a + op.shift, q.b + op.shift)))
+    costs.extend(m.classes_a[i].persistence / 2 for i in m.unmatched_a())
+    costs.extend(m.classes_b[j].persistence / 2 for j in m.unmatched_b())
+    return max(costs)
+
+
+def frozen_write_points(points, fmt: str) -> str:
+    lines = []
+    for point, multiplicity in Counter(points).items():
+        values = (format_number(point.a), format_number(point.b), multiplicity)
+        if fmt == "json-lines":
+            lines.append(json.dumps(dict(zip(("a", "b", "multiplicity"), values))))
+        else:
+            lines.append("%s %s %d" % values)
+    return "\n".join(lines) + ("\n" if lines else "")

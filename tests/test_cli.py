@@ -22,6 +22,7 @@ from circlepers.rationals import format_number
 
 F = Fraction
 LONG = "1" * 4000
+TINY = "0." + "0" * 4299 + "1"  # 1/10^4300
 NO_FORM = "more than 4300 digits: no written form of the value reads back"
 
 
@@ -374,8 +375,16 @@ class TestExitCodes:
             (["distance", "bottleneck"], f"{LONG} 0\n"),
             (["distance", "bottleneck-q"], f"{LONG} 0\n"),
             (["distance", "bottleneck-q", "--no-canonicalize"], f"{LONG}.5 {LONG}.75\n"),
+            # a value whose reduced denominator has more digits than `str()` converts
+            (["dgm", "line"], f"co {TINY} 0\n"),
+            (["dgm", "circle"], f"co {TINY} 0\n"),
+            (["distance", "bottleneck"], f"{TINY} 0\n"),
+            (["distance", "bottleneck-q"], f"{TINY} 0\n"),
         ],
-        ids=["dgm-line", "dgm-circle", "bottleneck", "bottleneck-q", "not-canonical"],
+        ids=[
+            "dgm-line", "dgm-circle", "bottleneck", "bottleneck-q", "not-canonical",
+            "dgm-line-tiny", "dgm-circle-tiny", "bottleneck-tiny", "bottleneck-q-tiny",
+        ],
     )
     def test_long_bad_value_gives_one_short_line(self, tmp_path, capsys, argv, text):
         path = write(tmp_path, "in.txt", text)

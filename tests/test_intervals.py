@@ -10,8 +10,11 @@ from circlepers import (
     OPEN,
     CircleInterval,
     CircleModule,
+    Diagram,
     LineInterval,
     LineModule,
+    PlanePoint,
+    QuotientDiagram,
     QuotientPoint,
     INF,
     NEG_INF,
@@ -21,7 +24,7 @@ from circlepers import (
     to_grid,
     translate_basis,
 )
-from oracles import count_translates, scan_translate_basis
+from oracles import count_translates, frozen_interval_key, frozen_point_key, scan_translate_basis
 
 F = Fraction
 
@@ -243,6 +246,75 @@ class TestDiagrams:
             (F(2, 10), F(5, 10)),
             (F(12, 10), F(15, 10)),
         ]
+
+
+@st.composite
+def end_pairs(draw, infinite: bool):
+    """(lo, hi) pairs with lo <= hi, drawn from a pool of a few values so
+    endpoints repeat: mixed denominators, some 2^-70 apart (the same int part
+    of the order key), and +-inf when *infinite*."""
+    base = draw(st.fractions(min_value=-2, max_value=2, max_denominator=60))
+    values = st.one_of(
+        st.fractions(min_value=-2, max_value=2, max_denominator=1000),
+        st.builds(lambda k: base + F(k, 2**70), st.integers(-2, 2)),
+        *([st.sampled_from([NEG_INF, INF])] if infinite else []),
+    )
+    pool = st.sampled_from(draw(st.lists(values, min_size=1, max_size=5)))
+    pairs = map(sorted, draw(st.lists(st.tuples(pool, pool), max_size=12)))
+    # a point cannot sit at one infinity
+    return [(lo, hi) for lo, hi in pairs if lo != hi or isinstance(lo, Fraction)]
+
+
+@st.composite
+def interval_rows(draw, infinite: bool):
+    """(lo, hi, lo_kind, hi_kind): random kinds, open at infinity, closed at a singleton."""
+    kinds = st.sampled_from([OPEN, CLOSED])
+    return [
+        (lo, hi, CLOSED, CLOSED) if lo == hi else
+        (lo, hi, *(draw(kinds) if isinstance(x, Fraction) else OPEN for x in (lo, hi)))
+        for lo, hi in draw(end_pairs(infinite))
+    ]
+
+
+class TestOrderAgainstTheFrozenKeys:
+    """Modules and diagrams hold their entries in the order, stable among
+    equals, that sorting by the `Fraction` keys gives."""
+
+    @staticmethod
+    def assert_same_order(held, given_order, frozen_key):
+        expected = sorted(given_order, key=frozen_key)
+        assert len(held) == len(expected)
+        assert all(x is y for x, y in zip(held, expected))
+
+    @given(rows=interval_rows(infinite=True))
+    @settings(max_examples=200, deadline=None)
+    def test_line_modules(self, rows):
+        intervals = [LineInterval(*row) for row in rows]
+        self.assert_same_order(LineModule(tuple(intervals)).intervals, intervals, frozen_interval_key)
+
+    @given(rows=interval_rows(infinite=False))
+    @settings(max_examples=200, deadline=None)
+    def test_circle_modules(self, rows):
+        intervals = [CircleInterval(*row) for row in rows]
+        self.assert_same_order(CircleModule(tuple(intervals)).intervals, intervals, frozen_interval_key)
+
+    @given(pairs=end_pairs(infinite=True))
+    @settings(max_examples=200, deadline=None)
+    def test_plane_diagrams(self, pairs):
+        points = [PlanePoint(a, b) for a, b in pairs]
+        self.assert_same_order(Diagram(tuple(points)).points, points, frozen_point_key)
+
+    @given(pairs=end_pairs(infinite=False))
+    @settings(max_examples=200, deadline=None)
+    def test_quotient_diagrams(self, pairs):
+        points = [QuotientPoint(a, b) for a, b in pairs]
+        self.assert_same_order(QuotientDiagram(tuple(points)).points, points, frozen_point_key)
+
+    def test_values_closer_than_the_int_part_of_the_key(self):
+        third, tiny = F(1, 3), F(1, 2**70)
+        coords = [(third + tiny, INF), (third, third + tiny), (third - tiny, third), (NEG_INF, third), (third, third)]
+        diagram = Diagram(tuple(PlanePoint(a, b) for a, b in coords))
+        assert [(p.a, p.b) for p in diagram.points] == [coords[i] for i in (3, 2, 4, 1, 0)]
 
 
 class TestTranslateBasis:

@@ -2,10 +2,11 @@ import json
 import random
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circlepers import (
@@ -25,11 +26,12 @@ from circlepers import (
     INF,
     NEG_INF,
     ParseError,
+    diagram_of_line,
 )
 from circlepers import io as fileio
 from circlepers.rationals import _strip_factor, format_number, format_ratio, is_finite, parse_number
 from generators import random_invariant_matching
-from oracles import frozen_format_number, frozen_parse_number
+from oracles import frozen_format_number, frozen_parse_number, frozen_write_points
 
 F = Fraction
 DEFAULT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 4300)() == 4300
@@ -600,6 +602,52 @@ class TestRoundTrips:
     def test_line_modules(self, intervals):
         module = LineModule(tuple(intervals))
         assert fileio.read_line_module(fileio.write_line_module(module)) == module
+
+
+class TestAgainstTheFrozenWriter:
+    """The writers give the bytes of the `Counter` writer: one line per
+    distinct point, in sorted order, with its multiplicity."""
+
+    @given(points=with_multiplicities(plane_points), copies=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_plane_diagrams(self, points, copies):
+        # *copies* makes repeated points equal but distinct objects
+        diagram = Diagram(tuple(PlanePoint(p.a, p.b) for p in points) if copies else points)
+        for fmt in FORMATS:
+            assert fileio.write_plane_diagram(diagram, fmt) == frozen_write_points(diagram.points, fmt)
+
+    @given(points=with_multiplicities(quotient_points), copies=st.booleans())
+    @example(points=(QuotientPoint(F(0), F(1)), QuotientPoint(F(1, 2), F(1))), copies=False)
+    @settings(max_examples=100, deadline=None)
+    def test_quotient_diagrams(self, points, copies):
+        # the example: neighbours that share b but not a
+        diagram = QuotientDiagram(tuple(QuotientPoint(p.a, p.b) for p in points) if copies else points)
+        for fmt in FORMATS:
+            assert fileio.write_quotient_diagram(diagram, fmt) == frozen_write_points(diagram.points, fmt)
+
+
+def primes_below(n: int) -> list[int]:
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, int(n**0.5) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
+    return [p for p in range(n) if sieve[p]]
+
+
+def test_sorting_stays_small_on_file_wide_denominators():
+    # keys scaled by the file's common denominator grow with the lcm of
+    # 3000 primes: such a version peaked at about 32 MiB here
+    denominators = primes_below(30_000)[:3000]
+    text = "".join(f"co {k}/{p} {k + p}/{p}\n" for k, p in enumerate(denominators))
+    tracemalloc.start()
+    try:
+        out = fileio.write_plane_diagram(diagram_of_line(fileio.read_line_module(text)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.count("\n") == 3000
+    assert peak < 8 * 2**20
 
 
 class TestMixedForms:

@@ -24,6 +24,7 @@ from generators import (
     random_partial_matching,
     random_quotient_diagram,
 )
+from oracles import frozen_invariant_cost
 
 F = Fraction
 
@@ -72,6 +73,24 @@ class TestInvariantCost:
         classes = _classes(("0", "0.5"))
         m = InvariantMatching(classes, classes, frozenset())
         assert invariant_cost(m) == F(1, 4)
+
+    @pytest.mark.parametrize("denominators", [None, (7, 11, 13, 64, 2**70)], ids=["generator", "mixed"])
+    def test_matches_the_frozen_plane_cost(self, denominators):
+        # the orbit pairs' costs on the kernel's pair rule, against `linf` of
+        # Fraction representatives; "mixed" draws classes of mixed denominators
+        rng = random.Random(41)
+        for _ in range(300):
+            classes = () if denominators is None else [
+                tuple(
+                    QuotientPoint(a, a + F(rng.randint(0, 3 * den), den))
+                    for den in rng.choices(denominators, k=rng.randint(0, 5))
+                    for a in [F(rng.randrange(den), den)]
+                )
+                for _side in "ab"
+            ]
+            m = random_invariant_matching(rng, *classes, max_classes=6)
+            value, frozen = invariant_cost(m), frozen_invariant_cost(m)
+            assert value == frozen and type(value) is type(frozen)
 
 
 class TestProjectMatching:

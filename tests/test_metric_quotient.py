@@ -72,7 +72,7 @@ class TestQuotientLinf:
             q = random_quotient_point(rng)
             value, shift = quotient_linf_with_shift(p, q)
             assert max(abs(p.a - q.a + shift), abs(p.b - q.b + shift)) == value
-            assert linf(p.representative(shift), q.representative(0)) == value
+            assert linf(PlanePoint(p.a + shift, p.b + shift), PlanePoint(q.a, q.b)) == value
 
     def test_shift_is_the_smallest_minimiser(self):
         # with denominator 2 some pairs tie between two shifts
