@@ -31,7 +31,7 @@ class Matrix:
 
 
 def identity(n: int) -> Matrix:
-    return Matrix(tuple(1 << r for r in range(n)), n)
+    return Matrix(tuple([1 << r for r in range(n)]), n)
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -56,18 +56,31 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     The reduced matrix keeps the shape of *a*: pivot rows in pivot order,
     then zero rows.
     """
+    # echelon form first: each row is cleared at its lowest bit until that
+    # bit is a new pivot, which touches only the pivots it actually meets
     basis: dict[int, int] = {}  # pivot bit -> row whose lowest set bit it is
     for row in a.rows:
-        for bit, prow in basis.items():
-            if row & bit:
-                row ^= prow
-        if row:
+        while row:
             low = row & -row
-            for bit, prow in basis.items():
-                if prow & low:
-                    basis[bit] = prow ^ row
-            basis[low] = row
-    order = sorted(basis)
+            prow = basis.get(low)
+            if prow is None:
+                basis[low] = row
+                break
+            row ^= prow
+    # then back substitution from the highest pivot down: a reduced row holds
+    # no other pivot, so one XOR clears each higher pivot a row contains
+    order = sorted(basis, reverse=True)
+    above = 0
+    for bit in order:
+        row = basis[bit]
+        hits = row & above
+        while hits:
+            low = hits & -hits
+            row ^= basis[low]
+            hits ^= low
+        basis[bit] = row
+        above |= bit
+    order.reverse()
     reduced = [basis[bit] for bit in order]
     reduced.extend([0] * (len(a.rows) - len(reduced)))
     return Matrix(tuple(reduced), a.cols), [bit.bit_length() - 1 for bit in order]
@@ -113,7 +126,7 @@ def lex_min_solution(a: Matrix, b: int) -> int | None:
     """
     n = len(a.rows)
     top = a.cols + n - 1
-    tagged = Matrix(tuple(row | 1 << (top - k) for k, row in enumerate(a.rows)), a.cols + n)
+    tagged = Matrix(tuple([row | 1 << (top - k) for k, row in enumerate(a.rows)]), a.cols + n)
     residue = reduce_vector(*rref(tagged), b)
     if residue & ((1 << a.cols) - 1):
         return None

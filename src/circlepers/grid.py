@@ -69,11 +69,12 @@ def to_grid(m: CircleModule, n: int) -> GridModule:
     for idx, ival in enumerate(m.intervals):
         for p in _members(ival.lo * n, ival.hi * n, ival.lo_kind, ival.hi_kind):
             fibers[p % n].append((idx, p))
-    steps = tuple(
+    # tuples from lists, not generators (see `intervals.diagram_of`)
+    steps = tuple([
         _label_map([(idx, p + 1) for idx, p in fibers[j]], fibers[(j + 1) % n])
         for j in range(n)
-    )
-    return GridModule(n, tuple(len(labels) for labels in fibers), steps)
+    ])
+    return GridModule(n, tuple([len(labels) for labels in fibers]), steps)
 
 
 def step_composite(g: GridModule, start: int, count: int) -> Matrix:

@@ -72,92 +72,147 @@ def interleaving_distance_circle(v: CircleModule, w: CircleModule) -> Fraction:
 
 
 # -- morphism spaces on the grid -------------------------------------------
+#
+# The search works on whole modules.  A grid module's labels run node by
+# node, so the fiber at node j is the block of labels from offsets[j] up to
+# offsets[j + 1], and the step maps together form one D x D step operator S.
+# A degree-s morphism v -> w is a D_w x D_v operator whose blocks send node
+# j to node j + s and are zero elsewhere, the 2s-step composites are the
+# blocks of S**(2s), and each triangle composite is one operator product.
 
 
-def _morphism_shapes(v: GridModule, w: GridModule, shift: int) -> list[tuple[int, int]]:
-    n = v.resolution
-    return [(w.dims[(j + shift) % n], v.dims[j]) for j in range(n)]
+def _offsets(dims) -> list[int]:
+    """The first label of each node's block, then the total dimension."""
+    out = [0]
+    for d in dims:
+        out.append(out[-1] + d)
+    return out
 
 
-def _hom_space(v: GridModule, w: GridModule, shift: int) -> list[list[Matrix]]:
-    """Basis of the space of degree-``shift`` morphisms from v to w.
+def _step_operator(g: GridModule, offsets: list[int]) -> Matrix:
+    """All step maps of *g* as one operator on its labels."""
+    n = g.resolution
+    rows = [0] * offsets[n]
+    for j, step in enumerate(g.steps):
+        base = offsets[(j + 1) % n]
+        for r, row in enumerate(step.rows):
+            rows[base + r] = row << offsets[j]
+    return Matrix(tuple(rows), offsets[n])
 
-    A candidate assigns a matrix to every node; commuting with all step maps
-    is a homogeneous linear condition on the entries, so the space is the
-    nullspace of one stacked system.  The unknowns are the entries of all
-    node matrices, row-major, node after node.
+
+def _columns(op: Matrix) -> list[int]:
+    """The columns of *op*, each as an int whose bit r is the entry in row r."""
+    columns = [0] * op.cols
+    for r, row in enumerate(op.rows):
+        while row:
+            low = row & -row
+            columns[low.bit_length() - 1] |= 1 << r
+            row ^= low
+    return columns
+
+
+def _power(op: Matrix, exponent: int) -> Matrix:
+    """``op ** exponent``, by repeated squaring."""
+    result = gf2.identity(op.cols)
+    while exponent:
+        if exponent & 1:
+            result = op @ result
+        exponent >>= 1
+        if exponent:
+            op = op @ op
+    return result
+
+
+def _plan(row_offsets: list[int], col_offsets: list[int], lag: int, start: int = 0):
+    """Where the block entries of a degree-*lag* operator go in one int vector.
+
+    Rows at node j + lag have their entries in the columns of node j.  The
+    blocks are laid out source node after source node, each row-major,
+    from bit *start*.  Returns, for each row label, the first column of its
+    block, the position of its first bit and the mask of its block width;
+    and the end position.
     """
-    n = v.resolution
-    shapes = _morphism_shapes(v, w, shift)
-    offsets = []
-    total = 0
-    for rows, cols in shapes:
-        offsets.append(total)
-        total += rows * cols
-
-    equations = []
+    n = len(col_offsets) - 1
+    plan = [(0, 0, 0)] * row_offsets[n]
+    pos = start
     for j in range(n):
-        j_next = (j + 1) % n
-        v_rows = v.steps[j].rows
-        w_step = w.steps[(j + shift) % n]
-        next_off, next_cols = offsets[j_next], v.dims[j_next]
-        here_off, here_cols = offsets[j], v.dims[j]
-        for r in range(w.dims[(j + shift + 1) % n]):
-            w_row = w_step.rows[r]
-            for c in range(here_cols):
-                eq = 0
-                # entries of the candidate at node j+1, composed with the v step
-                for k, v_row in enumerate(v_rows):
-                    if v_row >> c & 1:
-                        eq ^= 1 << (next_off + r * next_cols + k)
-                # entries at node j, composed with the w step
-                for k in range(w_step.cols):
-                    if w_row >> k & 1:
-                        eq ^= 1 << (here_off + k * here_cols + c)
-                equations.append(eq)
-
-    basis = []
-    for vec in gf2.nullspace(Matrix(tuple(equations), total)).rows:
-        mats = []
-        for (rows, cols), off in zip(shapes, offsets):
-            row_mask = (1 << cols) - 1
-            mats.append(Matrix(tuple(vec >> (off + r * cols) & row_mask for r in range(rows)), cols))
-        basis.append(mats)
-    return basis
+        t = (j + lag) % n
+        right, width = col_offsets[j], col_offsets[j + 1] - col_offsets[j]
+        mask = (1 << width) - 1
+        for label in range(row_offsets[t], row_offsets[t + 1]):
+            plan[label] = (right, pos, mask)
+            pos += width
+    return plan, pos
 
 
-def _pack(mats) -> tuple[int, int]:
-    """The entries of *mats*, row-major and matrix after matrix, as one int
-    vector; also its length."""
+def _packed(rows, plan) -> int:
+    """The rows of an operator that is zero off its blocks, laid out by *plan*."""
     out = 0
-    pos = 0
-    for m in mats:
-        for row in m.rows:
-            out |= row << pos
-            pos += m.cols
-    return out, pos
+    for row, (right, left, _) in zip(rows, plan):
+        out |= row >> right << left
+    return out
 
 
-def _triangle_block(alpha: list[Matrix], beta: list[Matrix], shift: int, n: int) -> int:
-    """Both triangle composites of one forward and one backward morphism,
-    packed in the order of the right-hand side in `feasible_interleaving`."""
-    block, _ = _pack(
-        m
-        for j in range(n)
-        for m in (beta[(j + shift) % n] @ alpha[j], alpha[(j + shift) % n] @ beta[j])
-    )
-    return block
+def _unpacked(vec: int, plan, cols: int) -> Matrix:
+    """The operator whose block entries *vec* holds, laid out by *plan*."""
+    return Matrix(tuple([(vec >> left & mask) << right for right, left, mask in plan]), cols)
 
 
-def _combination(basis: list[list[Matrix]], coefficients: int, shapes) -> tuple[Matrix, ...]:
-    """The sum of the basis morphisms selected by the bits of *coefficients*."""
-    acc = [[0] * rows for rows, _ in shapes]
-    for k, mats in enumerate(basis):
+def _node_maps(vec: int, plan, row_offsets: list[int], col_offsets: list[int], shift: int):
+    """The per-node maps of the degree-*shift* morphism that *vec* holds."""
+    n = len(col_offsets) - 1
+    maps = []
+    for j in range(n):
+        t = (j + shift) % n
+        rows = [vec >> left & mask for _, left, mask in plan[row_offsets[t]:row_offsets[t + 1]]]
+        maps.append(Matrix(tuple(rows), col_offsets[j + 1] - col_offsets[j]))
+    return tuple(maps)
+
+
+def _hom_space(
+    v_offsets: list[int], v_step: Matrix, w_offsets: list[int], w_step: Matrix,
+    shift: int, plan, unknowns: int,
+) -> tuple[int, ...]:
+    """Basis of the degree-*shift* morphisms v -> w, as vectors laid out by *plan*.
+
+    F is a morphism when F S_v = S_w F.  The entry of that identity at a row
+    of w at node t and a column of v at node t - shift - 1 is one
+    homogeneous equation on the entries of F, so the morphisms are the
+    nullspace of those equations.  The unknowns are numbered by *plan*:
+    source node, then target row, then source column.  The nullspace basis
+    is the canonical one of that numbering, whatever order the equations
+    come in.
+    """
+    n = len(v_offsets) - 1
+    v_columns = _columns(v_step)
+    equations = []
+    for t in range(n):
+        j = (t - shift - 1) % n
+        c_lo, c_hi = v_offsets[j], v_offsets[j + 1]
+        if c_lo == c_hi:
+            continue
+        for label in range(w_offsets[t], w_offsets[t + 1]):
+            right, left, _ = plan[label]
+            # (S_w F)[label, c] takes F[k, c] for each k the w step sends to label
+            row = w_step.rows[label]
+            through_w = 0
+            while row:
+                low = row & -row
+                through_w ^= 1 << plan[low.bit_length() - 1][1]
+                row ^= low
+            # (F S_v)[label, c] takes F[label, k] for each k that c steps to
+            for c in range(c_hi - c_lo):
+                equations.append((v_columns[c_lo + c] >> right << left) ^ (through_w << c))
+    return gf2.nullspace(Matrix(tuple(equations), unknowns)).rows
+
+
+def _selected(basis, coefficients: int) -> int:
+    """The sum of the basis vectors selected by the bits of *coefficients*."""
+    out = 0
+    for k, vec in enumerate(basis):
         if coefficients >> k & 1:
-            for node_rows, m in zip(acc, mats):
-                for r, row in enumerate(m.rows):
-                    node_rows[r] ^= row
-    return tuple(Matrix(tuple(rows), cols) for rows, (_, cols) in zip(acc, shapes))
+            out ^= vec
+    return out
 
 
 def feasible_interleaving(
@@ -177,19 +232,25 @@ def feasible_interleaving(
     full product scan.  Instances whose candidate product exceeds *budget*
     are rejected.
 
-    The identities are bilinear in the two coefficient vectors, so the
-    column of backward coefficient k, for forward mask x, is the XOR over
-    the bits i of x of one precomputed block per pair (i, k).
+    Everything is computed on whole-module operators (see above): the
+    identities read beta alpha = S_v**(2s) and alpha beta = S_w**(2s).  They
+    are bilinear in the two coefficient vectors, so the column of backward
+    coefficient k, for forward mask x, is the XOR over the bits i of x of
+    one precomputed block per pair (i, k): both products of basis operators
+    i and k, packed over their degree-2s blocks only.
     """
     if v.resolution != w.resolution:
         raise ValueError("grid modules must share a resolution")
     if shift_steps < 0:
         raise ValueError("shift must be nonnegative")
-    n = v.resolution
     s = shift_steps
 
-    basis_a = _hom_space(v, w, s)
-    basis_b = _hom_space(w, v, s)
+    v_offsets, w_offsets = _offsets(v.dims), _offsets(w.dims)
+    v_step, w_step = _step_operator(v, v_offsets), _step_operator(w, w_offsets)
+    plan_a, unknowns_a = _plan(w_offsets, v_offsets, s)
+    plan_b, unknowns_b = _plan(v_offsets, w_offsets, s)
+    basis_a = _hom_space(v_offsets, v_step, w_offsets, w_step, s, plan_a, unknowns_a)
+    basis_b = _hom_space(w_offsets, w_step, v_offsets, v_step, s, plan_b, unknowns_b)
     d_a = len(basis_a)
     d_b = len(basis_b)
     if (1 << (d_a + d_b)) > budget:
@@ -197,26 +258,31 @@ def feasible_interleaving(
             f"candidate product 2**{d_a + d_b} exceeds the budget of {budget} pairs"
         )
 
-    # per node j: backward(j+s) @ forward(j) must equal the 2s composite of
-    # v at j, and forward(j+s) @ backward(j) the 2s composite of w at j
-    rhs, width = _pack(
-        m for j in range(n) for m in (step_composite(v, j, 2 * s), step_composite(w, j, 2 * s))
-    )
+    # the right-hand side and every column: the rows of v, then those of w
+    pack_v, width = _plan(v_offsets, v_offsets, 2 * s)
+    pack_w, width = _plan(w_offsets, w_offsets, 2 * s, width)
+    rhs = _packed(_power(v_step, 2 * s).rows, pack_v) | _packed(_power(w_step, 2 * s).rows, pack_w)
 
+    forward_ops = [_unpacked(vec, plan_a, v_offsets[-1]) for vec in basis_a]
+    backward_ops = [_unpacked(vec, plan_b, w_offsets[-1]) for vec in basis_b]
     blocks: list[list[int]] = []  # blocks[i][k]; row i is built when bit i first flips
     columns = [0] * d_b
     for mask in range(1 << d_a):
         # mask - 1 -> mask flips bits 0..i, where 2**i is the lowest set bit of mask
         for i in range((mask & -mask).bit_length()):
             if i == len(blocks):
-                blocks.append([_triangle_block(basis_a[i], beta, s, n) for beta in basis_b])
+                alpha = forward_ops[i]
+                blocks.append([
+                    _packed((beta @ alpha).rows, pack_v) | _packed((alpha @ beta).rows, pack_w)
+                    for beta in backward_ops
+                ])
             columns = [c ^ b for c, b in zip(columns, blocks[i])]
         coefficients = gf2.lex_min_solution(Matrix(tuple(columns), width), rhs)
         if coefficients is None:
             continue
-        forward = GridMorphism(s, _combination(basis_a, mask, _morphism_shapes(v, w, s)))
-        backward = GridMorphism(s, _combination(basis_b, coefficients, _morphism_shapes(w, v, s)))
-        return FeasibilityResult(True, forward, backward)
+        forward = _node_maps(_selected(basis_a, mask), plan_a, w_offsets, v_offsets, s)
+        backward = _node_maps(_selected(basis_b, coefficients), plan_b, v_offsets, w_offsets, s)
+        return FeasibilityResult(True, GridMorphism(s, forward), GridMorphism(s, backward))
     return FeasibilityResult(False, None, None)
 
 

@@ -107,8 +107,11 @@ class CircleInterval:
         if lo > hi:
             raise ValueError(f"interval endpoints out of order: {shown(lo)} > {shown(hi)}")
         shift = math.floor(lo)
-        object.__setattr__(self, "lo", lo - shift)
-        object.__setattr__(self, "hi", hi - shift)
+        if shift:  # an already canonical class costs no arithmetic
+            lo -= shift
+            hi -= shift
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
         if self.lo == self.hi and (self.lo_kind is not CLOSED or self.hi_kind is not CLOSED):
             raise ValueError("a singleton interval must be closed on both sides")
 
@@ -177,4 +180,4 @@ def diagram_of(m: CircleModule) -> QuotientDiagram:
 
 def diagram_of_line(m: LineModule) -> Diagram:
     """Persistence diagram of a line module; infinite endpoints permitted."""
-    return Diagram(tuple(ival.diagram_point() for ival in m.intervals))
+    return Diagram(tuple([ival.diagram_point() for ival in m.intervals]))

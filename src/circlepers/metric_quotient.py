@@ -41,8 +41,11 @@ class QuotientPoint:
         if a > b:
             raise ValueError(f"birth exceeds death: ({shown(a)}, {shown(b)})")
         shift = math.floor(a)
-        object.__setattr__(self, "a", a - shift)
-        object.__setattr__(self, "b", b - shift)
+        if shift:  # an already canonical class costs no arithmetic
+            a -= shift
+            b -= shift
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @property
     def persistence(self) -> Fraction:

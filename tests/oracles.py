@@ -100,11 +100,11 @@ def count_translates(interval: CircleInterval, x: Fraction, pad: int = 2) -> int
 
 # -- the numpy grid-search kernel, frozen as the reference ---------------------
 #
-# This is the uint8-array implementation of `circlepers.gf2`, `_hom_space`,
-# `feasible_interleaving` and `translate_basis` that the bitset kernel
-# replaced.  It reads grid modules only through `tolist()`, so it shares no
-# arithmetic with the code it checks, and it must return the same flag and
-# the same witness maps.
+# This is the uint8-array implementation of `circlepers.gf2`, the per-node
+# hom-space solve, `feasible_interleaving` and `translate_basis` that the
+# bitset kernel replaced.  It reads grid modules only through `tolist()`, so
+# it shares no arithmetic with the code it checks, and it must return the
+# same flag and the same witness maps.
 
 
 def as_array(m) -> np.ndarray:
@@ -200,11 +200,17 @@ def np_step_composite(steps: list[np.ndarray], dims, start: int, count: int) -> 
     return acc
 
 
+def np_morphism_shapes(v, w, shift: int) -> list[tuple[int, int]]:
+    """Node j of a degree-*shift* morphism v -> w maps v's fiber at j to w's at j + shift."""
+    n = v.resolution
+    return [(w.dims[(j + shift) % n], v.dims[j]) for j in range(n)]
+
+
 def np_hom_space(v, w, shift: int) -> list[list[np.ndarray]]:
     n = v.resolution
     v_steps = [as_array(m) for m in v.steps]
     w_steps = [as_array(m) for m in w.steps]
-    shapes = [(w.dims[(j + shift) % n], v.dims[j]) for j in range(n)]
+    shapes = np_morphism_shapes(v, w, shift)
     offsets = []
     total = 0
     for rows, cols in shapes:
@@ -248,8 +254,8 @@ def np_feasible_interleaving(v, w, s: int):
     w_steps = [as_array(m) for m in w.steps]
     target_v = [np_step_composite(v_steps, v.dims, j, 2 * s) for j in range(n)]
     target_w = [np_step_composite(w_steps, w.dims, j, 2 * s) for j in range(n)]
-    alpha_shapes = [(w.dims[(j + s) % n], v.dims[j]) for j in range(n)]
-    beta_shapes = [(v.dims[(j + s) % n], w.dims[j]) for j in range(n)]
+    alpha_shapes = np_morphism_shapes(v, w, s)
+    beta_shapes = np_morphism_shapes(w, v, s)
     beta_stack = []
     for j in range(n):
         stacked = np.zeros((d_b, *beta_shapes[j]), dtype=np.uint8)
@@ -293,6 +299,18 @@ def np_feasible_interleaving(v, w, s: int):
     return False, None, None
 
 
+def np_bruteforce_distance(v, w, budget: int) -> Fraction | None:
+    """s/N for the first s whose numpy scan is feasible; None when some shift
+    up to it has a candidate product 2**(d_a + d_b) above *budget*."""
+    s = 0
+    while True:
+        if 1 << (len(np_hom_space(v, w, s)) + len(np_hom_space(w, v, s))) > budget:
+            return None
+        if np_feasible_interleaving(v, w, s)[0]:
+            return Fraction(s, v.resolution)
+        s += 1
+
+
 def scan_translate_basis(m, x: Fraction) -> list[tuple[int, int]]:
     """Fiber labels by scanning a padded window of translates k and testing
     membership of x + k with `LineInterval.contains`."""
@@ -334,6 +352,32 @@ def max_direct_sum_bound_check(v1, w1, v2, w2, budget: int = DEFAULT_BUDGET) -> 
     d2 = bruteforce_distance(v2, w2, budget)
     d_sum = bruteforce_distance(direct_sum(v1, v2), direct_sum(w1, w2), budget)
     return d_sum <= max(d1, d2)
+
+
+# -- the GF(2) elimination, frozen as the reference ----------------------------
+#
+# `gf2.rref` as it was before it built an echelon form first: every row is
+# reduced against every pivot row so far, and every pivot row against each
+# new pivot.  The reduced form is unique, so the library must return the
+# same rows and the same pivots.
+
+
+def frozen_rref(a: Matrix) -> tuple[Matrix, list[int]]:
+    basis: dict[int, int] = {}
+    for row in a.rows:
+        for bit, prow in basis.items():
+            if row & bit:
+                row ^= prow
+        if row:
+            low = row & -row
+            for bit, prow in basis.items():
+                if prow & low:
+                    basis[bit] = prow ^ row
+            basis[low] = row
+    order = sorted(basis)
+    reduced = [basis[bit] for bit in order]
+    reduced.extend([0] * (len(a.rows) - len(reduced)))
+    return Matrix(tuple(reduced), a.cols), [bit.bit_length() - 1 for bit in order]
 
 
 # -- the Fraction grid sampler, frozen as the reference ----------------------

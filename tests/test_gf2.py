@@ -1,6 +1,7 @@
 import random
 
 from circlepers.gf2 import Matrix, lex_min_solution, nullspace, rref
+from oracles import frozen_rref
 
 
 def picked_xor(rows, x: int) -> int:
@@ -75,3 +76,19 @@ class TestElimination:
             assert len(kernel.rows) == a.cols - len(pivots)
             for vec in kernel.rows:
                 assert all(bin(row & vec).count("1") % 2 == 0 for row in a.rows)
+
+    def test_rref_matches_the_frozen_elimination(self):
+        # sparse rows like the commutation systems, dense ones like the mask
+        # scan's, repeated rows and sums of earlier rows; up to 60 x 90
+        rng = random.Random(1913)
+        for case in range(3000):
+            cols = rng.randint(0, 90)
+            density = rng.choice([0.03, 0.1, 0.5, 0.9])
+            rows = []
+            for _ in range(rng.randint(0, 60)):
+                if rows and rng.random() < 0.2:
+                    rows.append(picked_xor(rows, rng.getrandbits(len(rows))))
+                else:
+                    rows.append(sum(1 << c for c in range(cols) if rng.random() < density))
+            a = Matrix(tuple(rows), cols)
+            assert rref(a) == frozen_rref(a), case

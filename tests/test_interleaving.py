@@ -33,8 +33,11 @@ from oracles import (
     frozen_to_grid,
     loop_is_nilpotent,
     max_direct_sum_bound_check,
+    np_bruteforce_distance,
     np_feasible_interleaving,
+    np_hom_space,
     np_matmul,
+    np_morphism_shapes,
     np_step_composite,
     scan_translate_basis,
 )
@@ -206,7 +209,9 @@ class TestAgainstLiteralProductScan:
     Enumerates both filtered candidate spaces explicitly in ascending bitmask
     order and tests the triangle identities pair by pair, in numpy arithmetic
     on the library's matrices read through `tolist()`; the library's
-    collapsed search must return exactly the same first witness.
+    collapsed search must return exactly the same first witness.  The
+    candidate bases and their shapes come from the frozen numpy hom-space
+    solve in `oracles`, so nothing here runs the kernel it checks.
     """
 
     @staticmethod
@@ -221,17 +226,15 @@ class TestAgainstLiteralProductScan:
             yield mats
 
     def _product_scan(self, v, w, s):
-        from circlepers.interleaving import _hom_space, _morphism_shapes
-
         n = v.resolution
-        basis_a = [[as_array(m) for m in mats] for mats in _hom_space(v, w, s)]
-        basis_b = [[as_array(m) for m in mats] for mats in _hom_space(w, v, s)]
+        basis_a = np_hom_space(v, w, s)
+        basis_b = np_hom_space(w, v, s)
         v_steps = [as_array(m) for m in v.steps]
         w_steps = [as_array(m) for m in w.steps]
         target_v = [np_step_composite(v_steps, v.dims, j, 2 * s) for j in range(n)]
         target_w = [np_step_composite(w_steps, w.dims, j, 2 * s) for j in range(n)]
-        for alpha in self._candidates(basis_a, _morphism_shapes(v, w, s), n):
-            for beta in self._candidates(basis_b, _morphism_shapes(w, v, s), n):
+        for alpha in self._candidates(basis_a, np_morphism_shapes(v, w, s), n):
+            for beta in self._candidates(basis_b, np_morphism_shapes(w, v, s), n):
                 if all(
                     np.array_equal(np_matmul(beta[(j + s) % n], alpha[j]), target_v[j])
                     and np.array_equal(np_matmul(alpha[(j + s) % n], beta[j]), target_w[j])
@@ -260,27 +263,30 @@ class TestAgainstLiteralProductScan:
 class TestAgainstFrozenNumpyKernel:
     """The bitset kernel against the numpy kernel it replaced (`oracles`).
 
-    Random endpoint kinds at grids 4, 6 and 8, every shift from 0 to N+1,
-    so both feasible and infeasible scans are compared in full.
+    Random endpoint kinds at every shift from 0 to N+1, so both feasible and
+    infeasible scans are compared in full: grids 4, 6 and 8 with up to two
+    intervals, and the benchmark's own regime, grid 12 with up to three.
     """
 
     def test_same_flag_and_same_witnesses(self):
         rng = random.Random(1789)
-        feasible = 0
-        for trial in range(300):
-            n = (4, 6, 8)[trial % 3]
-            mv = random_on_grid_module(rng, n, 2, random_kinds=True)
-            mw = random_on_grid_module(rng, n, 2, random_kinds=True)
-            v, w = to_grid(mv, n), to_grid(mw, n)
-            for s in range(n + 2):
-                result = feasible_interleaving(v, w, s)
-                flag, forward, backward = np_feasible_interleaving(v, w, s)
-                assert result.feasible == flag, (trial, s)
-                if flag:
-                    feasible += 1
-                    assert [m.tolist() for m in result.forward.maps] == [m.tolist() for m in forward]
-                    assert [m.tolist() for m in result.backward.maps] == [m.tolist() for m in backward]
-        assert feasible >= 1000  # most comparisons include witnesses
+        # (grids, most intervals per module, trials, least feasible shifts)
+        for grids, max_intervals, trials, least_feasible in (((4, 6, 8), 2, 300, 1000), ((12,), 3, 40, 200)):
+            feasible = 0
+            for trial in range(trials):
+                n = grids[trial % len(grids)]
+                mv = random_on_grid_module(rng, n, max_intervals, random_kinds=True)
+                mw = random_on_grid_module(rng, n, max_intervals, random_kinds=True)
+                v, w = to_grid(mv, n), to_grid(mw, n)
+                for s in range(n + 2):
+                    result = feasible_interleaving(v, w, s)
+                    flag, forward, backward = np_feasible_interleaving(v, w, s)
+                    assert result.feasible == flag, (n, trial, s)
+                    if flag:
+                        feasible += 1
+                        assert [m.tolist() for m in result.forward.maps] == [m.tolist() for m in forward]
+                        assert [m.tolist() for m in result.backward.maps] == [m.tolist() for m in backward]
+            assert feasible >= least_feasible, grids  # most comparisons include witnesses
 
     def test_translate_basis_matches_the_translate_scan(self):
         rng = random.Random(1789)
@@ -368,6 +374,26 @@ class TestBruteforceDistance:
             grid_value = bruteforce_distance(to_grid(mv, n), to_grid(mw, n))
             assert grid_value == F(math.ceil(n * circle_value), n), (trial, n)
             assert abs(grid_value - circle_value) <= F(1, n)
+
+    def test_refuses_exactly_when_a_shift_up_to_the_first_feasible_passes_the_budget(self):
+        # small budgets make refusals common; the oracle counts the hom-space
+        # dimensions with the frozen numpy solve, shift by shift
+        rng = random.Random(6174)
+        refused = answered = 0
+        for trial in range(150):
+            n = (4, 6, 8)[trial % 3]
+            v = to_grid(random_on_grid_module(rng, n, 3, random_kinds=True), n)
+            w = to_grid(random_on_grid_module(rng, n, 3, random_kinds=True), n)
+            budget = rng.choice([1, 2, 4, 8, 16, 64, 256])
+            expected = np_bruteforce_distance(v, w, budget)
+            if expected is None:
+                refused += 1
+                with pytest.raises(BudgetExceeded):
+                    bruteforce_distance(v, w, budget)
+            else:
+                answered += 1
+                assert bruteforce_distance(v, w, budget) == expected, (trial, budget)
+        assert refused >= 30 and answered >= 30, (refused, answered)
 
 
 class TestRotationInvariance:

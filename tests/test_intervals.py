@@ -93,6 +93,14 @@ class TestCircleInterval:
         long = CircleInterval(F(1, 10), F(23, 10))
         assert long.length == F(22, 10)
 
+    def test_canonical_int_and_shifted_inputs_store_equal_fractions(self):
+        # a canonical interval skips the shift; the stored values must not show it
+        for lo, hi in ((F(3, 10), F(7, 10)), (F(0), F(2)), (0, 2), (F(-7, 10), F(-3, 10)), (F(23, 10), 5), (-1, 0)):
+            ival = CircleInterval(lo, hi)
+            shifted = CircleInterval(F(lo) + 3, F(hi) + 3)
+            assert (ival.lo, ival.hi) == (shifted.lo, shifted.hi) == (F(lo) % 1, F(hi) - (F(lo) - F(lo) % 1))
+            assert all(type(x) is F for x in (ival.lo, ival.hi, shifted.lo, shifted.hi))
+
 
 def fiber_dim(m: CircleModule, x) -> int:
     return len(translate_basis(m, x))

@@ -49,6 +49,14 @@ class TestQuotientPoint:
         with pytest.raises(ValueError):
             QuotientPoint(F(1, 2), F(1, 4))
 
+    def test_canonical_int_and_shifted_inputs_store_equal_fractions(self):
+        # a canonical point skips the shift; the stored values must not show it
+        for a, b in ((F(3, 10), F(7, 10)), (F(0), F(2)), (0, 2), (F(-7, 10), F(-3, 10)), (F(23, 10), 5), (-1, 0)):
+            p = QuotientPoint(a, b)
+            shifted = QuotientPoint(F(a) + 3, F(b) + 3)
+            assert (p.a, p.b) == (shifted.a, shifted.b) == (F(a) % 1, F(b) - (F(a) - F(a) % 1))
+            assert all(type(x) is F for x in (p.a, p.b, shifted.a, shifted.b))
+
 
 class TestQuotientLinf:
     def test_no_shift_needed(self):
