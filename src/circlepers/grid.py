@@ -8,7 +8,7 @@ brute-force interleaving search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import gf2
 from .gf2 import Matrix
@@ -17,9 +17,14 @@ from .intervals import CircleModule, _members
 
 @dataclass(frozen=True, eq=False)
 class GridModule:
+    """Node j's fiber is the block of labels from ``offsets[j]`` up to
+    ``offsets[j + 1]``; ``operator`` is the step operator on all D labels."""
+
     resolution: int
     dims: tuple[int, ...]
     steps: tuple[Matrix, ...]
+    offsets: tuple[int, ...] = field(init=False, repr=False)
+    operator: Matrix = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.resolution
@@ -27,12 +32,21 @@ class GridModule:
             raise ValueError("grid resolution must be at least 2")
         if not (len(self.dims) == len(self.steps) == n):
             raise ValueError("dims and steps must have one entry per node")
-        for j in range(n):
+        offsets = [0]
+        for d in self.dims:
+            offsets.append(offsets[-1] + d)
+        rows = [0] * offsets[n]
+        for j, step in enumerate(self.steps):
             expected = (self.dims[(j + 1) % n], self.dims[j])
-            if self.steps[j].shape != expected:
-                raise ValueError(
-                    f"step matrix at node {j} has shape {self.steps[j].shape}, expected {expected}"
-                )
+            if step.shape != expected:
+                raise ValueError(f"step matrix at node {j} has shape {step.shape}, expected {expected}")
+            base = offsets[(j + 1) % n]
+            for r, row in enumerate(step.rows):
+                if row < 0 or row >> step.cols:
+                    raise ValueError(f"step matrix at node {j} has row {r} outside its {step.cols} columns")
+                rows[base + r] = row << offsets[j]
+        object.__setattr__(self, "offsets", tuple(offsets))
+        object.__setattr__(self, "operator", Matrix(tuple(rows), offsets[n]))
 
 
 def _label_map(source: list, target: list) -> Matrix:

@@ -73,31 +73,11 @@ def interleaving_distance_circle(v: CircleModule, w: CircleModule) -> Fraction:
 
 # -- morphism spaces on the grid -------------------------------------------
 #
-# The search works on whole modules.  A grid module's labels run node by
-# node, so the fiber at node j is the block of labels from offsets[j] up to
-# offsets[j + 1], and the step maps together form one D x D step operator S.
-# A degree-s morphism v -> w is a D_w x D_v operator whose blocks send node
-# j to node j + s and are zero elsewhere, the 2s-step composites are the
-# blocks of S**(2s), and each triangle composite is one operator product.
-
-
-def _offsets(dims) -> list[int]:
-    """The first label of each node's block, then the total dimension."""
-    out = [0]
-    for d in dims:
-        out.append(out[-1] + d)
-    return out
-
-
-def _step_operator(g: GridModule, offsets: list[int]) -> Matrix:
-    """All step maps of *g* as one operator on its labels."""
-    n = g.resolution
-    rows = [0] * offsets[n]
-    for j, step in enumerate(g.steps):
-        base = offsets[(j + 1) % n]
-        for r, row in enumerate(step.rows):
-            rows[base + r] = row << offsets[j]
-    return Matrix(tuple(rows), offsets[n])
+# The search works on whole modules, through each grid module's label
+# offsets and step operator S (see `GridModule`).  A degree-s morphism
+# v -> w is a D_w x D_v operator whose blocks send node j to node j + s and
+# are zero elsewhere, the 2s-step composites are the blocks of S**(2s), and
+# each triangle composite is one operator product.
 
 
 def _columns(op: Matrix) -> list[int]:
@@ -123,7 +103,7 @@ def _power(op: Matrix, exponent: int) -> Matrix:
     return result
 
 
-def _plan(row_offsets: list[int], col_offsets: list[int], lag: int, start: int = 0):
+def _plan(source: GridModule, target: GridModule, lag: int, start: int = 0):
     """Where the block entries of a degree-*lag* operator go in one int vector.
 
     Rows at node j + lag have their entries in the columns of node j.  The
@@ -132,14 +112,14 @@ def _plan(row_offsets: list[int], col_offsets: list[int], lag: int, start: int =
     block, the position of its first bit and the mask of its block width;
     and the end position.
     """
-    n = len(col_offsets) - 1
-    plan = [(0, 0, 0)] * row_offsets[n]
+    n = source.resolution
+    plan = [(0, 0, 0)] * target.operator.cols
     pos = start
     for j in range(n):
         t = (j + lag) % n
-        right, width = col_offsets[j], col_offsets[j + 1] - col_offsets[j]
+        right, width = source.offsets[j], source.dims[j]
         mask = (1 << width) - 1
-        for label in range(row_offsets[t], row_offsets[t + 1]):
+        for label in range(target.offsets[t], target.offsets[t + 1]):
             plan[label] = (right, pos, mask)
             pos += width
     return plan, pos
@@ -158,33 +138,33 @@ def _unpacked(vec: int, plan, cols: int) -> Matrix:
     return Matrix(tuple([(vec >> left & mask) << right for right, left, mask in plan]), cols)
 
 
-def _node_maps(vec: int, plan, row_offsets: list[int], col_offsets: list[int], shift: int):
+def _node_maps(vec: int, plan, source: GridModule, target: GridModule, shift: int):
     """The per-node maps of the degree-*shift* morphism that *vec* holds."""
-    n = len(col_offsets) - 1
+    n = source.resolution
     maps = []
     for j in range(n):
         t = (j + shift) % n
-        rows = [vec >> left & mask for _, left, mask in plan[row_offsets[t]:row_offsets[t + 1]]]
-        maps.append(Matrix(tuple(rows), col_offsets[j + 1] - col_offsets[j]))
+        block = plan[target.offsets[t]:target.offsets[t + 1]]
+        rows = [vec >> left & mask for _, left, mask in block]
+        maps.append(Matrix(tuple(rows), source.dims[j]))
     return tuple(maps)
 
 
-def _hom_space(
-    v_offsets: list[int], v_step: Matrix, w_offsets: list[int], w_step: Matrix,
-    shift: int, plan, unknowns: int,
-) -> tuple[int, ...]:
-    """Basis of the degree-*shift* morphisms v -> w, as vectors laid out by *plan*.
+def _hom_space(v: GridModule, w: GridModule, shift: int):
+    """The plan of the degree-*shift* operators v -> w, and a basis of the morphisms.
 
     F is a morphism when F S_v = S_w F.  The entry of that identity at a row
     of w at node t and a column of v at node t - shift - 1 is one
     homogeneous equation on the entries of F, so the morphisms are the
-    nullspace of those equations.  The unknowns are numbered by *plan*:
+    nullspace of those equations.  The unknowns are numbered by the plan:
     source node, then target row, then source column.  The nullspace basis
     is the canonical one of that numbering, whatever order the equations
     come in.
     """
-    n = len(v_offsets) - 1
-    v_columns = _columns(v_step)
+    n = v.resolution
+    plan, unknowns = _plan(v, w, shift)
+    v_offsets, w_offsets, w_step = v.offsets, w.offsets, w.operator
+    v_columns = _columns(v.operator)
     equations = []
     for t in range(n):
         j = (t - shift - 1) % n
@@ -203,7 +183,7 @@ def _hom_space(
             # (F S_v)[label, c] takes F[label, k] for each k that c steps to
             for c in range(c_hi - c_lo):
                 equations.append((v_columns[c_lo + c] >> right << left) ^ (through_w << c))
-    return gf2.nullspace(Matrix(tuple(equations), unknowns)).rows
+    return plan, gf2.nullspace(Matrix(tuple(equations), unknowns)).rows
 
 
 def _selected(basis, coefficients: int) -> int:
@@ -245,12 +225,8 @@ def feasible_interleaving(
         raise ValueError("shift must be nonnegative")
     s = shift_steps
 
-    v_offsets, w_offsets = _offsets(v.dims), _offsets(w.dims)
-    v_step, w_step = _step_operator(v, v_offsets), _step_operator(w, w_offsets)
-    plan_a, unknowns_a = _plan(w_offsets, v_offsets, s)
-    plan_b, unknowns_b = _plan(v_offsets, w_offsets, s)
-    basis_a = _hom_space(v_offsets, v_step, w_offsets, w_step, s, plan_a, unknowns_a)
-    basis_b = _hom_space(w_offsets, w_step, v_offsets, v_step, s, plan_b, unknowns_b)
+    plan_a, basis_a = _hom_space(v, w, s)
+    plan_b, basis_b = _hom_space(w, v, s)
     d_a = len(basis_a)
     d_b = len(basis_b)
     if (1 << (d_a + d_b)) > budget:
@@ -259,12 +235,12 @@ def feasible_interleaving(
         )
 
     # the right-hand side and every column: the rows of v, then those of w
-    pack_v, width = _plan(v_offsets, v_offsets, 2 * s)
-    pack_w, width = _plan(w_offsets, w_offsets, 2 * s, width)
-    rhs = _packed(_power(v_step, 2 * s).rows, pack_v) | _packed(_power(w_step, 2 * s).rows, pack_w)
+    pack_v, width = _plan(v, v, 2 * s)
+    pack_w, width = _plan(w, w, 2 * s, width)
+    rhs = _packed(_power(v.operator, 2 * s).rows, pack_v) | _packed(_power(w.operator, 2 * s).rows, pack_w)
 
-    forward_ops = [_unpacked(vec, plan_a, v_offsets[-1]) for vec in basis_a]
-    backward_ops = [_unpacked(vec, plan_b, w_offsets[-1]) for vec in basis_b]
+    forward_ops = [_unpacked(vec, plan_a, v.operator.cols) for vec in basis_a]
+    backward_ops = [_unpacked(vec, plan_b, w.operator.cols) for vec in basis_b]
     blocks: list[list[int]] = []  # blocks[i][k]; row i is built when bit i first flips
     columns = [0] * d_b
     for mask in range(1 << d_a):
@@ -280,8 +256,8 @@ def feasible_interleaving(
         coefficients = gf2.lex_min_solution(Matrix(tuple(columns), width), rhs)
         if coefficients is None:
             continue
-        forward = _node_maps(_selected(basis_a, mask), plan_a, w_offsets, v_offsets, s)
-        backward = _node_maps(_selected(basis_b, coefficients), plan_b, v_offsets, w_offsets, s)
+        forward = _node_maps(_selected(basis_a, mask), plan_a, v, w, s)
+        backward = _node_maps(_selected(basis_b, coefficients), plan_b, w, v, s)
         return FeasibilityResult(True, GridMorphism(s, forward), GridMorphism(s, backward))
     return FeasibilityResult(False, None, None)
 

@@ -57,10 +57,26 @@ class _JsonInt(str):
     """The digits of a JSON integer, distinct from a JSON string."""
 
 
+class _RepeatedField(Exception):
+    """A json object names the field in ``args[0]`` twice."""
+
+
+def _json_object(pairs: list) -> dict:
+    record = dict(pairs)
+    if len(record) < len(pairs):
+        seen = set()
+        for name, _ in pairs:
+            if name in seen:
+                raise _RepeatedField(name)
+            seen.add(name)
+    return record
+
+
 # JSON numbers stay text for `parse_number`, so `1e400` is a finite rational,
 # no digit is lost to a float on the way, and an integer too long for `int`
-# gets the same error as in a text line
-_JSON_DECODER = json.JSONDecoder(parse_float=str, parse_int=_JsonInt)
+# gets the same error as in a text line; a field named twice is an error,
+# not a silent last-one-wins
+_JSON_DECODER = json.JSONDecoder(object_pairs_hook=_json_object, parse_float=str, parse_int=_JsonInt)
 
 # each record kind's json field names, in the order of its text line
 _INTERVAL_FIELDS = ("kind", "lo", "hi")
@@ -77,6 +93,8 @@ def _json_record(line: str, line_no: int, fields: tuple[str, ...]) -> dict | Non
         record = _JSON_DECODER.decode(line)
     except (ValueError, RecursionError) as exc:  # also too many digits or too deep
         raise ParseError(line_no, f"bad json record: {exc}") from exc
+    except _RepeatedField as exc:
+        raise ParseError(line_no, f"repeated field {quoted(exc.args[0])}") from exc
     if not isinstance(record, dict):
         raise ParseError(line_no, "json record must be an object")
     unknown = [name for name in record if name not in fields]

@@ -194,6 +194,15 @@ class TestDistance:
             "error: line 1: unknown field 'multiplicty' (use a, b, multiplicity)\n"
         )
 
+    def test_repeated_json_field_exits_2(self, tmp_path, capsys):
+        # json alone keeps the last value: the point (5, 10), at distance 5 from b
+        a = write(tmp_path, "a.jsonl", '{"a": "0", "a": "5", "b": "10"}\n')
+        b = write(tmp_path, "b.jsonl", '{"a": "0", "b": "10"}\n')
+        assert main(["distance", "bottleneck", a, b]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 1: repeated field 'a'\n"
+
     def test_json_lines_value_record(self, tmp_path, capsys):
         a = write(tmp_path, "a.txt", "0 0.5\n")
         b = write(tmp_path, "b.txt", "0.1 0.6\n")

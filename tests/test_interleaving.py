@@ -122,6 +122,54 @@ class TestToGrid:
             assert loop_is_nilpotent(g)
 
 
+def assert_operator_holds_the_steps(g):
+    n = g.resolution
+    assert g.offsets == tuple([sum(g.dims[:j]) for j in range(n + 1)])
+    assert g.operator.shape == (g.offsets[n], g.offsets[n])
+    for j in range(n):
+        t = (j + 1) % n
+        below = (1 << g.offsets[j]) - 1
+        for r, step_row in enumerate(g.steps[j].rows):
+            row = g.operator.rows[g.offsets[t] + r]
+            assert row >> g.offsets[j] == step_row and not row & below, (j, r)
+
+
+class TestGridModule:
+    def test_offsets_and_operator_hold_dense_random_steps(self):
+        rng = random.Random(15)
+        for _ in range(200):
+            n = rng.randint(2, 7)
+            dims = tuple([rng.randint(0, 4) for _ in range(n)])
+            steps = tuple([
+                Matrix(tuple([rng.getrandbits(dims[j]) for _ in range(dims[(j + 1) % n])]), dims[j])
+                for j in range(n)
+            ])
+            assert_operator_holds_the_steps(GridModule(n, dims, steps))
+
+    def test_offsets_and_operator_hold_sampled_steps(self):
+        rng = random.Random(16)
+        for n in (2, 3, 8, 12):
+            for _ in range(40):
+                a = to_grid(random_on_grid_module(rng, n, 4, random_kinds=True), n)
+                b = to_grid(random_on_grid_module(rng, n, 2, random_kinds=True), n)
+                assert_operator_holds_the_steps(a)
+                assert_operator_holds_the_steps(direct_sum(a, b))
+
+    def test_refuses_a_row_with_bits_past_its_columns(self):
+        # tolist() cannot tell this step from Matrix((1,), 1); the stray bit
+        # would land in the next node's labels of the step operator
+        steps = (Matrix((0b11,), 1), Matrix((0,), 1))
+        assert steps[0].tolist() == Matrix((1,), 1).tolist()
+        with pytest.raises(ValueError, match="^step matrix at node 0 has row 0 outside its 1 columns$"):
+            GridModule(2, (1, 1), steps)
+        valid = GridModule(2, (1, 1), (Matrix((1,), 1), Matrix((0,), 1)))
+        assert bruteforce_distance(valid, grid_of([], 2)) == F(1, 2)
+
+    def test_refuses_a_negative_row(self):
+        with pytest.raises(ValueError, match="^step matrix at node 1 has row 0 outside its 1 columns$"):
+            GridModule(2, (1, 1), (Matrix((1,), 1), Matrix((-1,), 1)))
+
+
 class TestIntervalDistanceLine:
     def test_identity(self):
         ival = LineInterval(F(0), F(4), CLOSED, CLOSED)

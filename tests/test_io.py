@@ -262,6 +262,15 @@ class TestIntervalFiles:
             assert err.value.line_no == 2
             assert err.value.message == "unknown field 'hi_kind' (use kind, lo, hi)"
 
+    def test_json_repeated_field_is_an_error_naming_it(self):
+        # json alone keeps the last value, which reads this line as `oo 0 1`
+        text = '{"kind": "co", "lo": 0, "hi": 1}\n{"kind": "co", "lo": 0, "hi": 1, "kind": "oo"}\n'
+        for reader in (fileio.read_line_module, fileio.read_circle_module):
+            with pytest.raises(ParseError) as err:
+                reader(text)
+            assert err.value.line_no == 2
+            assert err.value.message == "repeated field 'kind'"
+
     @pytest.mark.skipif(not DEFAULT_DIGIT_LIMIT, reason="the values sit at Python's default limit")
     def test_a_canonical_endpoint_with_no_written_form_is_refused_on_its_line(self):
         tiny = "0." + "0" * 4299 + "1"  # 1/10^4300 reads, and writes as this decimal
@@ -315,6 +324,21 @@ class TestDiagramFiles:
                 reader(text)
             assert err.value.line_no == 2
             assert err.value.message == "unknown field 'multiplicty' (use a, b, multiplicity)"
+
+    def test_json_repeated_field_is_an_error_naming_it(self):
+        # json alone keeps the last value, which reads this line as the point (5, 10)
+        text = '{"a": "0", "b": "10"}\n{"a": "0", "a": "5", "b": "10"}\n'
+        for reader in (fileio.read_plane_diagram, fileio.read_quotient_diagram):
+            with pytest.raises(ParseError) as err:
+                reader(text)
+            assert err.value.line_no == 2
+            assert err.value.message == "repeated field 'a'"
+
+    def test_a_long_repeated_field_name_is_clipped(self):
+        name = "x" * 1000
+        with pytest.raises(ParseError) as err:
+            fileio.read_plane_diagram('{"%s": 0, "%s": 1}\n' % (name, name))
+        assert len(err.value.message) < 80
 
     def test_quotient_canonicalizes_by_default(self):
         diagram = fileio.read_quotient_diagram("1.2 1.5\n")
@@ -441,6 +465,27 @@ class TestMatchingFiles:
             with pytest.raises(ParseError) as err:
                 read()
             assert err.value.line_no == 2
+
+    @pytest.mark.parametrize(
+        "line, name",
+        [
+            ('{"unmatchedA": 0, "unmatchedA": 1}', "unmatchedA"),
+            ('{"pair": [0, 0], "shift": 0, "shift": 1}', "shift"),
+            ('{"pair": [0, 0], "pair": [1, 1], "shift": 0}', "pair"),
+        ],
+    )
+    def test_json_repeated_field_is_an_error_naming_it(self, line, name):
+        classes = (QuotientPoint(F(0), F(1, 2)), QuotientPoint(F(1, 4), F(3, 4)))
+        text = "unmatchedB 1\n" + line + "\n"
+        readers = [
+            lambda: fileio.read_quotient_matching(text, 2, 2),
+            lambda: fileio.read_invariant_matching(text, classes, classes),
+        ]
+        for read in readers:
+            with pytest.raises(ParseError) as err:
+                read()
+            assert err.value.line_no == 2
+            assert err.value.message == f"repeated field {name!r}"
 
     def test_orbit_file_checks_declared_unmatched_classes(self):
         classes = (QuotientPoint(F(0), F(1, 2)),)
