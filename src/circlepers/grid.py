@@ -25,6 +25,7 @@ class GridModule:
     steps: tuple[Matrix, ...]
     offsets: tuple[int, ...] = field(init=False, repr=False)
     operator: Matrix = field(init=False, repr=False)
+    _even_powers: list[Matrix] = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.resolution
@@ -47,16 +48,18 @@ class GridModule:
                 rows[base + r] = row << offsets[j]
         object.__setattr__(self, "offsets", tuple(offsets))
         object.__setattr__(self, "operator", Matrix(tuple(rows), offsets[n]))
+        object.__setattr__(self, "_even_powers", [gf2.identity(offsets[n])])
 
+    def even_power(self, s: int) -> Matrix:
+        """``operator ** (2 * s)``, the composite of 2s steps on all labels.
 
-def _label_map(source: list, target: list) -> Matrix:
-    # the 0/1 matrix that sends each source label to the equal target label
-    position = {label: c for c, label in enumerate(source)}
-    rows = []
-    for label in target:
-        c = position.get(label)
-        rows.append(0 if c is None else 1 << c)
-    return Matrix(tuple(rows), len(source))
+        Each power is built once, from the one before it by one product
+        with the square, and kept for later calls.
+        """
+        powers = self._even_powers
+        while len(powers) <= s:
+            powers.append(powers[-1] @ powers[1] if len(powers) > 1 else self.operator @ self.operator)
+        return powers[s]
 
 
 def to_grid(m: CircleModule, n: int) -> GridModule:
@@ -80,15 +83,21 @@ def to_grid(m: CircleModule, n: int) -> GridModule:
                 )
 
     fibers = [[] for _ in range(n)]
+    column = {}  # (interval, position) -> its index in the fiber at position mod N
     for idx, ival in enumerate(m.intervals):
         for p in _members(ival.lo * n, ival.hi * n, ival.lo_kind, ival.hi_kind):
-            fibers[p % n].append((idx, p))
-    # tuples from lists, not generators (see `intervals.diagram_of`)
-    steps = tuple([
-        _label_map([(idx, p + 1) for idx, p in fibers[j]], fibers[(j + 1) % n])
-        for j in range(n)
-    ])
-    return GridModule(n, tuple([len(labels) for labels in fibers]), steps)
+            fiber = fibers[p % n]
+            column[idx, p] = len(fiber)
+            fiber.append((idx, p))
+    # the step into node j + 1 sends each label there from position p - 1, if present
+    steps = []
+    for j in range(n):
+        rows = []
+        for idx, p in fibers[(j + 1) % n]:
+            c = column.get((idx, p - 1))
+            rows.append(0 if c is None else 1 << c)
+        steps.append(Matrix(tuple(rows), len(fibers[j])))
+    return GridModule(n, tuple([len(labels) for labels in fibers]), tuple(steps))
 
 
 def step_composite(g: GridModule, start: int, count: int) -> Matrix:

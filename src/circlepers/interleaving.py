@@ -91,18 +91,6 @@ def _columns(op: Matrix) -> list[int]:
     return columns
 
 
-def _power(op: Matrix, exponent: int) -> Matrix:
-    """``op ** exponent``, by repeated squaring."""
-    result = gf2.identity(op.cols)
-    while exponent:
-        if exponent & 1:
-            result = op @ result
-        exponent >>= 1
-        if exponent:
-            op = op @ op
-    return result
-
-
 def _plan(source: GridModule, target: GridModule, lag: int, start: int = 0):
     """Where the block entries of a degree-*lag* operator go in one int vector.
 
@@ -163,6 +151,8 @@ def _hom_space(v: GridModule, w: GridModule, shift: int):
     """
     n = v.resolution
     plan, unknowns = _plan(v, w, shift)
+    if not unknowns:
+        return plan, ()
     v_offsets, w_offsets, w_step = v.offsets, w.offsets, w.operator
     v_columns = _columns(v.operator)
     equations = []
@@ -195,6 +185,37 @@ def _selected(basis, coefficients: int) -> int:
     return out
 
 
+def _first_pair(v: GridModule, w: GridModule, s: int, plan_a, basis_a, plan_b, basis_b):
+    """The first (forward mask, backward coefficients) whose pair passes, or None.
+
+    Forward masks over *basis_a* (v -> w) ascend, and each backward answer is
+    the lex-first one, so the pair is the first of the full product scan.
+    """
+    # the right-hand side and every column: the rows of v, then those of w
+    pack_v, width = _plan(v, v, 2 * s)
+    pack_w, width = _plan(w, w, 2 * s, width)
+    rhs = _packed(v.even_power(s).rows, pack_v) | _packed(w.even_power(s).rows, pack_w)
+
+    forward_ops = [_unpacked(vec, plan_a, v.operator.cols) for vec in basis_a]
+    backward_ops = [_unpacked(vec, plan_b, w.operator.cols) for vec in basis_b]
+    blocks: list[list[int]] = []  # blocks[i][k]; row i is built when bit i first flips
+    columns = [0] * len(basis_b)
+    for mask in range(1 << len(basis_a)):
+        # mask - 1 -> mask flips bits 0..i, where 2**i is the lowest set bit of mask
+        for i in range((mask & -mask).bit_length()):
+            if i == len(blocks):
+                alpha = forward_ops[i]
+                blocks.append([
+                    _packed((beta @ alpha).rows, pack_v) | _packed((alpha @ beta).rows, pack_w)
+                    for beta in backward_ops
+                ])
+            columns = [c ^ b for c, b in zip(columns, blocks[i])]
+        coefficients = gf2.lex_min_solution(Matrix(tuple(columns), width), rhs)
+        if coefficients is not None:
+            return mask, coefficients
+    return None
+
+
 def feasible_interleaving(
     v: GridModule, w: GridModule, shift_steps: int, budget: int = DEFAULT_BUDGET
 ) -> FeasibilityResult:
@@ -218,6 +239,14 @@ def feasible_interleaving(
     coefficient k, for forward mask x, is the XOR over the bits i of x of
     one precomputed block per pair (i, k): both products of basis operators
     i and k, packed over their degree-2s blocks only.
+
+    The scan settles only what the hom spaces leave open.  When one of them
+    is zero, every pair has a zero side, so the shift is feasible exactly
+    when both 2s-step composites vanish, with the zero pair as witness.
+    And (alpha, beta) interleaves v and w exactly when (beta, alpha)
+    interleaves w and v, so when w -> v has the smaller basis its scan
+    decides the flag first; the forward scan then runs only to find the
+    witness of a feasible shift.
     """
     if v.resolution != w.resolution:
         raise ValueError("grid modules must share a resolution")
@@ -234,32 +263,18 @@ def feasible_interleaving(
             f"candidate product 2**{d_a + d_b} exceeds the budget of {budget} pairs"
         )
 
-    # the right-hand side and every column: the rows of v, then those of w
-    pack_v, width = _plan(v, v, 2 * s)
-    pack_w, width = _plan(w, w, 2 * s, width)
-    rhs = _packed(_power(v.operator, 2 * s).rows, pack_v) | _packed(_power(w.operator, 2 * s).rows, pack_w)
-
-    forward_ops = [_unpacked(vec, plan_a, v.operator.cols) for vec in basis_a]
-    backward_ops = [_unpacked(vec, plan_b, w.operator.cols) for vec in basis_b]
-    blocks: list[list[int]] = []  # blocks[i][k]; row i is built when bit i first flips
-    columns = [0] * d_b
-    for mask in range(1 << d_a):
-        # mask - 1 -> mask flips bits 0..i, where 2**i is the lowest set bit of mask
-        for i in range((mask & -mask).bit_length()):
-            if i == len(blocks):
-                alpha = forward_ops[i]
-                blocks.append([
-                    _packed((beta @ alpha).rows, pack_v) | _packed((alpha @ beta).rows, pack_w)
-                    for beta in backward_ops
-                ])
-            columns = [c ^ b for c, b in zip(columns, blocks[i])]
-        coefficients = gf2.lex_min_solution(Matrix(tuple(columns), width), rhs)
-        if coefficients is None:
-            continue
-        forward = _node_maps(_selected(basis_a, mask), plan_a, v, w, s)
-        backward = _node_maps(_selected(basis_b, coefficients), plan_b, w, v, s)
-        return FeasibilityResult(True, GridMorphism(s, forward), GridMorphism(s, backward))
-    return FeasibilityResult(False, None, None)
+    if not (d_a and d_b):
+        pair = None if any(v.even_power(s).rows) or any(w.even_power(s).rows) else (0, 0)
+    elif d_b < d_a and _first_pair(w, v, s, plan_b, basis_b, plan_a, basis_a) is None:
+        pair = None
+    else:
+        pair = _first_pair(v, w, s, plan_a, basis_a, plan_b, basis_b)
+    if pair is None:
+        return FeasibilityResult(False, None, None)
+    mask, coefficients = pair
+    forward = _node_maps(_selected(basis_a, mask), plan_a, v, w, s)
+    backward = _node_maps(_selected(basis_b, coefficients), plan_b, w, v, s)
+    return FeasibilityResult(True, GridMorphism(s, forward), GridMorphism(s, backward))
 
 
 def is_degree_morphism(v: GridModule, w: GridModule, morphism: GridMorphism) -> bool:
@@ -308,7 +323,9 @@ def bruteforce_distance(v: GridModule, w: GridModule, budget: int = DEFAULT_BUDG
     so a nonzero c-step composite keeps one label alive at c + 1 distinct
     (node, translate) labels and c is below the total dimension.  Every 2s
     composite vanishes once 2s reaches it, and then the zero pair
-    interleaves; running past the bound means the grid data is inconsistent.
+    interleaves.  Running past the bound means a step operator is not
+    nilpotent, which no interval module gives: that module is named in a
+    `ValueError`.
     """
     if v.resolution != w.resolution:
         raise ValueError("grid modules must share a resolution")
@@ -317,6 +334,9 @@ def bruteforce_distance(v: GridModule, w: GridModule, budget: int = DEFAULT_BUDG
     for s in range(limit + 1):
         if feasible_interleaving(v, w, s, budget).feasible:
             return Fraction(s, n)
+    for name, g in (("v", v), ("w", w)):
+        if any(g.even_power(limit).rows):
+            raise ValueError(f"the step operator of {name} is not nilpotent")
     raise RuntimeError(
         f"no interleaving found up to the safety bound s = {limit}; grid data inconsistent"
     )

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import circlepers.interleaving
 from circlepers import (
     CLOSED,
     OPEN,
@@ -25,6 +26,7 @@ from circlepers import (
     to_grid,
     translate_basis,
 )
+from circlepers import gf2
 from circlepers.gf2 import Matrix, identity
 from generators import KIND_PAIRS, random_on_grid_module
 from oracles import (
@@ -66,6 +68,32 @@ def circle_modules(draw, max_intervals=4):
     return CircleModule(tuple(intervals))
 
 
+def with_loop(rows, d):
+    """Two nodes of dimension d; the step out of node 1 sets the loop map at node 0."""
+    return GridModule(2, (d, d), (identity(d), Matrix(rows, d)))
+
+
+# (rows of the loop map, its dimension), and for the nilpotent ones the
+# number of turns whose loop maps first compose to zero
+NON_NILPOTENT_LOOPS = [
+    ((0b1,), 1),  # the identity
+    ((0b01, 0b10), 2),
+    ((0b01, 0b00), 2),  # idempotent
+]
+NILPOTENT_LOOPS = [
+    (((0b10, 0b00), 2), 2),
+    # a 3x3 Jordan block: its square is nonzero, its cube vanishes
+    (((0b010, 0b100, 0b000), 3), 3),
+]
+EMPTY_LOOP = GridModule(2, (0, 0), (Matrix((), 0), Matrix((), 0)))
+
+
+def vanishes_after(g, count):
+    """Whether every *count*-step composite of g is zero, by the numpy oracle."""
+    steps = [as_array(m) for m in g.steps]
+    return not any(np_step_composite(steps, g.dims, j, count).any() for j in range(g.resolution))
+
+
 class TestToGrid:
     def test_half_open_interval_dims(self):
         g = grid_of([CircleInterval(F(0), F(1, 2), CLOSED, OPEN)], 4)
@@ -103,17 +131,11 @@ class TestToGrid:
                 assert [step.cols for step in g.steps] == [step.cols for step in frozen.steps], (n, trial)
 
     def test_loop_is_nilpotent_on_hand_built_loops(self):
-        # two nodes; the step out of node 1 sets the loop map at node 0
-        def with_loop(rows, d):
-            return GridModule(2, (d, d), (identity(d), Matrix(rows, d)))
-
-        assert not loop_is_nilpotent(with_loop((0b1,), 1))  # the identity
-        assert not loop_is_nilpotent(with_loop((0b01, 0b10), 2))
-        assert not loop_is_nilpotent(with_loop((0b01, 0b00), 2))  # idempotent
-        assert loop_is_nilpotent(with_loop((0b10, 0b00), 2))
-        # a 3x3 Jordan block: its square is nonzero, its cube vanishes
-        assert loop_is_nilpotent(with_loop((0b010, 0b100, 0b000), 3))
-        assert loop_is_nilpotent(GridModule(2, (0, 0), (Matrix((), 0), Matrix((), 0))))
+        for loop in NON_NILPOTENT_LOOPS:
+            assert not loop_is_nilpotent(with_loop(*loop))
+        for loop, _ in NILPOTENT_LOOPS:
+            assert loop_is_nilpotent(with_loop(*loop))
+        assert loop_is_nilpotent(EMPTY_LOOP)
 
     def test_loop_map_nilpotent_on_randoms(self):
         rng = random.Random(43)
@@ -135,16 +157,20 @@ def assert_operator_holds_the_steps(g):
 
 
 class TestGridModule:
+    @staticmethod
+    def _dense_random(rng):
+        n = rng.randint(2, 7)
+        dims = tuple([rng.randint(0, 4) for _ in range(n)])
+        steps = tuple([
+            Matrix(tuple([rng.getrandbits(dims[j]) for _ in range(dims[(j + 1) % n])]), dims[j])
+            for j in range(n)
+        ])
+        return GridModule(n, dims, steps)
+
     def test_offsets_and_operator_hold_dense_random_steps(self):
         rng = random.Random(15)
         for _ in range(200):
-            n = rng.randint(2, 7)
-            dims = tuple([rng.randint(0, 4) for _ in range(n)])
-            steps = tuple([
-                Matrix(tuple([rng.getrandbits(dims[j]) for _ in range(dims[(j + 1) % n])]), dims[j])
-                for j in range(n)
-            ])
-            assert_operator_holds_the_steps(GridModule(n, dims, steps))
+            assert_operator_holds_the_steps(self._dense_random(rng))
 
     def test_offsets_and_operator_hold_sampled_steps(self):
         rng = random.Random(16)
@@ -168,6 +194,44 @@ class TestGridModule:
     def test_refuses_a_negative_row(self):
         with pytest.raises(ValueError, match="^step matrix at node 1 has row 0 outside its 1 columns$"):
             GridModule(2, (1, 1), (Matrix((1,), 1), Matrix((-1,), 1)))
+
+    def test_even_power_is_twice_as_many_steps(self):
+        rng = random.Random(18)
+        modules = [self._dense_random(rng) for _ in range(60)]
+        modules += [
+            to_grid(random_on_grid_module(rng, n, 4, random_kinds=True), n)
+            for n in (2, 3, 5, 8, 12) for _ in range(12)
+        ]
+        past_the_depth = 0
+        for g in modules:
+            n, offsets = g.resolution, g.offsets
+            steps = [as_array(m) for m in g.steps]
+            expected = identity(offsets[n])
+            for s in range(offsets[n] // 2 + 2):
+                power = g.even_power(s)
+                assert power == expected, s
+                # each block sends node j to node j + 2s and equals the 2s-step composite there
+                for j in range(n):
+                    t = (j + 2 * s) % n
+                    block = power.rows[offsets[t]:offsets[t + 1]]
+                    as_block = Matrix(tuple([row >> offsets[j] & (1 << g.dims[j]) - 1 for row in block]), g.dims[j])
+                    assert [row << offsets[j] for row in as_block.rows] == list(block), (s, j)
+                    assert np.array_equal(as_array(as_block), np_step_composite(steps, g.dims, j, 2 * s)), (s, j)
+                expected = gf2.matmul(g.operator, gf2.matmul(g.operator, expected))
+            if loop_is_nilpotent(g):
+                # 2s reached the total dimension, so the last power checked is zero
+                assert not any(power.rows)
+                past_the_depth += offsets[n] > 0
+        assert past_the_depth >= 80
+
+    def test_even_powers_do_not_depend_on_the_call_order(self):
+        rng = random.Random(19)
+        for _ in range(40):
+            g = to_grid(random_on_grid_module(rng, 8, 4, random_kinds=True), 8)
+            fresh = GridModule(g.resolution, g.dims, g.steps)
+            late, early = fresh.even_power(5), fresh.even_power(2)
+            assert (early, late) == (g.even_power(2), g.even_power(5))
+            assert fresh.even_power(3) == g.even_power(3)
 
 
 class TestIntervalDistanceLine:
@@ -249,6 +313,62 @@ class TestFeasibleInterleaving:
                 assert feasible_interleaving(w, v, s).feasible == feasible
                 assert not (previous and not feasible)
                 previous = feasible
+
+
+class TestScanShortcuts:
+    def test_a_zero_hom_space_decides_by_the_two_powers(self):
+        # feasible exactly when both 2s-step composites vanish; the infeasible
+        # shifts include many where only one of them does
+        rng = random.Random(1616)
+        feasible = infeasible = one_vanishes = 0
+        for trial in range(120):
+            n = rng.randint(4, 12)
+            v = to_grid(random_on_grid_module(rng, n, 3, random_kinds=True), n)
+            w = to_grid(random_on_grid_module(rng, n, 3, random_kinds=True), n)
+            for s in range(n + 2):
+                if np_hom_space(v, w, s) and np_hom_space(w, v, s):
+                    continue
+                result = feasible_interleaving(v, w, s)
+                flag, forward, backward = np_feasible_interleaving(v, w, s)
+                assert result.feasible == flag, (trial, s)
+                if flag:
+                    feasible += 1
+                    assert [m.tolist() for m in result.forward.maps] == [m.tolist() for m in forward]
+                    assert [m.tolist() for m in result.backward.maps] == [m.tolist() for m in backward]
+                else:
+                    infeasible += 1
+                    one_vanishes += vanishes_after(v, 2 * s) != vanishes_after(w, 2 * s)
+        assert feasible >= 400 and infeasible >= 150 and one_vanishes >= 100, (feasible, infeasible, one_vanishes)
+
+    def test_the_smaller_hom_space_decides_an_infeasible_shift(self, monkeypatch):
+        class Counting:
+            calls = 0
+
+            def __getattr__(self, name):
+                return getattr(gf2, name)
+
+            def lex_min_solution(self, a, b):
+                self.calls += 1
+                return gf2.lex_min_solution(a, b)
+
+        counting = Counting()
+        monkeypatch.setattr(circlepers.interleaving, "gf2", counting)
+        rng = random.Random(2020)
+        checked = saved = 0
+        for trial in range(150):
+            v = to_grid(random_on_grid_module(rng, 8, 4), 8)
+            w = to_grid(random_on_grid_module(rng, 8, 2), 8)
+            for s in range(9):
+                d_a, d_b = len(np_hom_space(v, w, s)), len(np_hom_space(w, v, s))
+                if not 0 < d_b < d_a:
+                    continue
+                counting.calls = 0
+                if feasible_interleaving(v, w, s).feasible:
+                    break
+                assert counting.calls <= 1 << d_b, (trial, s, d_a, d_b)
+                checked += 1
+                saved += (1 << d_a) - counting.calls
+        assert checked >= 40 and saved >= 300, (checked, saved)
 
 
 class TestAgainstLiteralProductScan:
@@ -422,6 +542,20 @@ class TestBruteforceDistance:
             grid_value = bruteforce_distance(to_grid(mv, n), to_grid(mw, n))
             assert grid_value == F(math.ceil(n * circle_value), n), (trial, n)
             assert abs(grid_value - circle_value) <= F(1, n)
+
+    def test_a_module_whose_step_operator_is_not_nilpotent_is_named(self):
+        for loop in NON_NILPOTENT_LOOPS:
+            g = with_loop(*loop)
+            with pytest.raises(ValueError, match="^the step operator of v is not nilpotent$"):
+                bruteforce_distance(g, EMPTY_LOOP)
+            with pytest.raises(ValueError, match="^the step operator of w is not nilpotent$"):
+                bruteforce_distance(EMPTY_LOOP, g)
+            assert bruteforce_distance(g, g) == 0
+        for loop, turns in NILPOTENT_LOOPS:
+            g = with_loop(*loop)
+            # against zero, the first s whose 2s-step composites all vanish
+            assert bruteforce_distance(g, EMPTY_LOOP) == F(turns, 2)
+            assert bruteforce_distance(EMPTY_LOOP, g) == F(turns, 2)
 
     def test_refuses_exactly_when_a_shift_up_to_the_first_feasible_passes_the_budget(self):
         # small budgets make refusals common; the oracle counts the hom-space
