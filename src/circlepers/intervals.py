@@ -16,7 +16,17 @@ from fractions import Fraction
 
 from .metric_plane import Diagram, PlanePoint
 from .metric_quotient import QuotientDiagram, QuotientPoint
-from .rationals import NEG_INF, INF, Ext, as_ext, as_fraction, is_finite, order_key, shown
+from .rationals import (
+    NEG_INF,
+    INF,
+    Ext,
+    as_ext,
+    as_fraction,
+    is_finite,
+    order_key,
+    shown,
+    unit_representative,
+)
 
 
 class EndpointKind(Enum):
@@ -104,12 +114,10 @@ class CircleInterval:
     def __post_init__(self):
         lo = as_fraction(self.lo)
         hi = as_fraction(self.hi)
-        if lo > hi:
+        canonical = unit_representative(lo, hi)
+        if canonical is None:
             raise ValueError(f"interval endpoints out of order: {shown(lo)} > {shown(hi)}")
-        shift = math.floor(lo)
-        if shift:  # an already canonical class costs no arithmetic
-            lo -= shift
-            hi -= shift
+        lo, hi = canonical
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         if self.lo == self.hi and (self.lo_kind is not CLOSED or self.hi_kind is not CLOSED):

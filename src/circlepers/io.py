@@ -124,6 +124,18 @@ def _written(line_no: int, value) -> None:
         _on_line(line_no, format_number, value)
 
 
+def _number(values: dict, line_no: int, token) -> Ext:
+    """The value of *token* on *line_no*.  *values* maps each token of one
+    read that parsed to its value, so a repeated token is parsed once and
+    its values are one object; a token that fails is parsed again, and
+    fails, on each line that holds it."""
+    token = str(token)
+    value = values.get(token)
+    if value is None:
+        value = values[token] = _on_line(line_no, parse_number, token)
+    return value
+
+
 def _integer(value, line_no: int, from_text: bool) -> int:
     """A text integer or a JSON integer (not 1.5, true or "1"), with no `_`."""
     if (from_text or isinstance(value, _JsonInt)) and "_" not in value:
@@ -139,12 +151,13 @@ def _integer(value, line_no: int, from_text: bool) -> int:
 
 def _interval_rows(text: str) -> Iterator[tuple[int, Ext, Ext, EndpointKind, EndpointKind]]:
     """(line_no, lo, hi, lo_kind, hi_kind) per interval."""
+    numbers: dict[str, Ext] = {}
     for line_no, line in _data_lines(text):
         values, _ = _values(line, line_no, _INTERVAL_FIELDS)
         if len(values) != 3:
             raise ParseError(line_no, f"expected `KIND lo hi`, got {quoted(line)}")
-        lo = _on_line(line_no, parse_number, str(values[1]))
-        hi = _on_line(line_no, parse_number, str(values[2]))
+        lo = _number(numbers, line_no, values[1])
+        hi = _number(numbers, line_no, values[2])
         kind = str(values[0])
         if kind not in KIND_CODES:
             raise ParseError(line_no, f"unknown endpoint kind {quoted(kind)} (use oo/oc/co/cc)")
@@ -179,12 +192,13 @@ def write_line_module(m: LineModule) -> str:
 
 
 def _diagram_rows(text: str) -> Iterator[tuple[int, Ext, Ext, int]]:
+    numbers: dict[str, Ext] = {}
     for line_no, line in _data_lines(text):
         values, from_text = _values(line, line_no, _POINT_FIELDS)
         if len(values) not in (2, 3):
             raise ParseError(line_no, f"expected `a b [multiplicity]`, got {quoted(line)}")
-        a = _on_line(line_no, parse_number, str(values[0]))
-        b = _on_line(line_no, parse_number, str(values[1]))
+        a = _number(numbers, line_no, values[0])
+        b = _number(numbers, line_no, values[1])
         multiplicity = _integer(values[2], line_no, from_text) if len(values) == 3 else 1
         if multiplicity < 1:
             raise ParseError(line_no, f"multiplicity must be positive, got {quoted(multiplicity)}")

@@ -13,13 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .metric_plane import PartialMatching, _pair_cost, common_denominator, scaled, unscaled
+from .metric_plane import PartialMatching
 from .metric_quotient import (
     QuotientDiagram,
     QuotientPoint,
-    quotient_linf_with_shift,
+    _class_pair_cost,
+    _half_persistence_cost,
+    _largest_cost,
 )
-from .rationals import Ext
 
 
 @dataclass(frozen=True)
@@ -73,26 +74,20 @@ class InvariantMatching:
         return set(range(len(self.classes_b))) - self.fully_matched_b()
 
 
-def invariant_cost(m: InvariantMatching) -> Ext:
+def invariant_cost(m: InvariantMatching) -> Fraction:
     """Bottleneck cost of the induced plane matching.
 
     Pair costs are shift-invariant, so one representative per orbit pair
     suffices; every representative of a class outside the orbit pairs is
     unmatched and pays half its persistence.
     """
-    costs: list[Ext] = [Fraction(0)]
-    for op in m.orbit_pairs:
-        p, q = m.classes_a[op.a], m.classes_b[op.b]
-        # linf((p.a, p.b), (q.a + op.shift, q.b + op.shift)), on the pair's own scale
-        scale = common_denominator((p.a, p.b, q.a, q.b))
-        shift = op.shift * scale
-        cost = _pair_cost(
-            scaled(p.a, scale), scaled(p.b, scale), scaled(q.a, scale) + shift, scaled(q.b, scale) + shift
-        )
-        costs.append(unscaled(cost, scale))
-    costs.extend(m.classes_a[i].persistence / 2 for i in m.unmatched_a())
-    costs.extend(m.classes_b[j].persistence / 2 for j in m.unmatched_b())
-    return max(costs)
+    # linf((p.a, p.b), (q.a + op.shift, q.b + op.shift)): p moved by -op.shift
+    costs = [
+        _class_pair_cost(m.classes_a[op.a], m.classes_b[op.b], -op.shift)[:2] for op in m.orbit_pairs
+    ]
+    costs.extend(_half_persistence_cost(m.classes_a[i]) for i in m.unmatched_a())
+    costs.extend(_half_persistence_cost(m.classes_b[j]) for j in m.unmatched_b())
+    return _largest_cost(costs)
 
 
 def project_matching(m: InvariantMatching) -> PartialMatching:
@@ -121,7 +116,7 @@ def lift_matching(
     matching.validate_for(len(a.points), len(b.points))
     orbit_pairs = set()
     for i, j in matching.pairs:
-        _, k = quotient_linf_with_shift(a.points[i], b.points[j])
+        _, _, k = _class_pair_cost(a.points[i], b.points[j])
         # the class distance is linf((p.a + k, p.b + k), (q.a, q.b)),
         # and an orbit pair at shift -k matches exactly those representatives
         orbit_pairs.add(OrbitPair(i, j, -k))

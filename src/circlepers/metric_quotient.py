@@ -17,11 +17,10 @@ from .metric_plane import (
     Diagram,
     PartialMatching,
     common_denominator,
-    scaled,
     solve_bottleneck,
     unscaled,
 )
-from .rationals import as_fraction, shown
+from .rationals import as_fraction, shown, unit_representative
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,12 +37,10 @@ class QuotientPoint:
     def __post_init__(self):
         a = as_fraction(self.a)
         b = as_fraction(self.b)
-        if a > b:
+        canonical = unit_representative(a, b)
+        if canonical is None:
             raise ValueError(f"birth exceeds death: ({shown(a)}, {shown(b)})")
-        shift = math.floor(a)
-        if shift:  # an already canonical class costs no arithmetic
-            a -= shift
-            b -= shift
+        a, b = canonical
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -69,14 +66,47 @@ def quotient_linf_with_shift(p: QuotientPoint, q: QuotientPoint) -> tuple[Fracti
     *first* argument's representative onto the minimising pair: the value
     equals linf((p.a + k, p.b + k), (q.a, q.b)).
     """
-    u = p.a - q.a
-    v = p.b - q.b
-    # on integers: u = x/den and v = y/den, so c = -(x+y)/(2 den)
-    den = u.denominator * v.denominator
-    x = u.numerator * v.denominator
-    y = v.numerator * u.denominator
-    k = -((x + y + den) // (2 * den))  # ceil(c - 1/2)
-    return Fraction(_class_cost(x + y, x - y, den), 2 * den), k
+    cost, scale, k = _class_pair_cost(p, q)
+    return Fraction(cost, 2 * scale), k
+
+
+def _class_pair_cost(p: QuotientPoint, q: QuotientPoint, k: int | None = None) -> tuple[int, int, int]:
+    """(cost, scale, k): linf((p.a + k, p.b + k), (q.a, q.b)) is cost/(2 scale),
+    on ints.  Without *k*, k is the aligning shift, so the cost is the class
+    distance `quotient_linf_with_shift` returns.
+
+    The scale is the lcm of the pair's four denominators, never more, so a
+    cost's size does not depend on the other classes of a file.  With
+    x = (p.a - q.a) scale and y = (p.b - q.b) scale, the cost is
+    2 max(|x + k scale|, |y + k scale|) = |2k scale + x + y| + |x - y|, and
+    the aligning k is ceil(-(x + y)/(2 scale) - 1/2).
+    """
+    pa, pb, qa, qb = p.a, p.b, q.a, q.b
+    scale = math.lcm(pa.denominator, pb.denominator, qa.denominator, qb.denominator)
+    x = pa.numerator * (scale // pa.denominator) - qa.numerator * (scale // qa.denominator)
+    y = pb.numerator * (scale // pb.denominator) - qb.numerator * (scale // qb.denominator)
+    if k is None:
+        k = -((x + y + scale) // (2 * scale))
+    return abs(2 * k * scale + x + y) + abs(x - y), scale, k
+
+
+def _half_persistence_cost(p: QuotientPoint) -> tuple[int, int]:
+    """(cost, scale) with half the persistence of *p* = cost/(2 scale), on ints."""
+    a, b = p.a, p.b
+    scale = math.lcm(a.denominator, b.denominator)
+    return b.numerator * (scale // b.denominator) - a.numerator * (scale // a.denominator), scale
+
+
+def _largest_cost(costs) -> Fraction:
+    """The largest of the (cost, scale) pairs in *costs*, and 0 for none, as
+    the `Fraction` cost/(2 scale).  The maximum is kept as an int pair and
+    compared by cross-multiplication, so no `Fraction` is built before the
+    end and no scale outgrows one pair's."""
+    best, best_scale = 0, 1
+    for cost, scale in costs:
+        if cost * best_scale > best * scale:
+            best, best_scale = cost, scale
+    return Fraction(best, 2 * best_scale)
 
 
 def _class_cost(sum_gap: int, pers_gap: int, scale: int) -> int:
@@ -102,11 +132,17 @@ def diag_cost_quotient(p: QuotientPoint) -> Fraction:
 def matching_cost_quotient(a: QuotientDiagram, b: QuotientDiagram, matching: PartialMatching) -> Fraction:
     """Bottleneck cost of a partial matching between quotient diagrams."""
     matching.validate_for(len(a.points), len(b.points))
-    costs = [Fraction(0)]
-    costs.extend(quotient_linf(a.points[i], b.points[j]) for i, j in matching.pairs)
-    costs.extend(diag_cost_quotient(a.points[i]) for i in matching.unmatched_a)
-    costs.extend(diag_cost_quotient(b.points[j]) for j in matching.unmatched_b)
-    return max(costs)
+    costs = [_class_pair_cost(a.points[i], b.points[j])[:2] for i, j in matching.pairs]
+    costs.extend(_half_persistence_cost(a.points[i]) for i in matching.unmatched_a)
+    costs.extend(_half_persistence_cost(b.points[j]) for j in matching.unmatched_b)
+    return _largest_cost(costs)
+
+
+def _sum_and_persistence(p: QuotientPoint, scale: int) -> tuple[int, int]:
+    # (p.a + p.b, p.b - p.a) times *scale*, a multiple of both denominators
+    a = p.a.numerator * (scale // p.a.denominator)
+    b = p.b.numerator * (scale // p.b.denominator)
+    return a + b, b - a
 
 
 def bottleneck_quotient(a: QuotientDiagram, b: QuotientDiagram) -> BottleneckResult:
@@ -122,8 +158,8 @@ def bottleneck_quotient(a: QuotientDiagram, b: QuotientDiagram) -> BottleneckRes
     scale = common_denominator(c for d in (a, b) for p in d.points for c in (p.a, p.b))
     # u + v is the difference of the two coordinate sums, and u - v that of
     # the two persistences, up to sign
-    points_a = [(scaled(p.a + p.b, scale), scaled(p.persistence, scale)) for p in a.points]
-    points_b = [(scaled(q.a + q.b, scale), scaled(q.persistence, scale)) for q in b.points]
+    points_a = [_sum_and_persistence(p, scale) for p in a.points]
+    points_b = [_sum_and_persistence(q, scale) for q in b.points]
     pair_costs = [
         [_class_cost(sum_p - sum_q, pers_p - pers_q, scale) for sum_q, pers_q in points_b]
         for sum_p, pers_p in points_a

@@ -72,6 +72,19 @@ def order_key(x: Ext) -> tuple:
     return (x,)
 
 
+def unit_representative(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction] | None:
+    """(lo - k, hi - k) for the integer k that puts lo in [0, 1), or None
+    when lo > hi; on ints: the order by cross-multiplication, k = n // d."""
+    lo_n, lo_d = lo.numerator, lo.denominator
+    hi_n, hi_d = hi.numerator, hi.denominator
+    if lo_n * hi_d > hi_n * lo_d:
+        return None
+    shift = lo_n // lo_d
+    if not shift:  # an already canonical class costs no arithmetic
+        return lo, hi
+    return Fraction(lo_n - shift * lo_d, lo_d), Fraction(hi_n - shift * hi_d, hi_d)
+
+
 def as_ext(value) -> Ext:
     """Coerce *value* to an exact extended rational.
 

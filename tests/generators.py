@@ -24,6 +24,15 @@ from circlepers import (
 KIND_PAIRS = [(CLOSED, CLOSED), (CLOSED, OPEN), (OPEN, CLOSED), (OPEN, OPEN)]
 
 
+def primes_below(n: int) -> list[int]:
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, int(n**0.5) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
+    return [p for p in range(n) if sieve[p]]
+
+
 def random_plane_point(rng: random.Random, allow_infinite: bool = True) -> PlanePoint:
     if allow_infinite and rng.random() < 0.1:
         if rng.random() < 0.5:

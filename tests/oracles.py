@@ -5,10 +5,11 @@ all integer translates in a window, and so on.  The rest are kernels frozen
 as they were before a faster one replaced them: the numpy grid search, the
 `Fraction` grid sampler, the `Fraction` bottleneck search, the number
 reader and writer, the `Fraction` sort keys, the orbit cost on plane
-representatives and the `Counter` diagram writer.  None of it
-shares code with the algorithmic paths it is used to verify.  Two grid
-tools live here too, because only tests build with them: the blockwise
-direct sum and the loop-nilpotency check.
+representatives, the `Fraction` canonical classes, quotient matching cost
+and lift shifts, and the `Counter` diagram writer.  None of it shares code
+with the algorithmic paths it is used to verify.  Two grid tools live here
+too, because only tests build with them: the blockwise direct sum and the
+loop-nilpotency check.
 """
 
 from __future__ import annotations
@@ -661,6 +662,45 @@ def frozen_invariant_cost(m) -> Ext:
     costs.extend(m.classes_a[i].persistence / 2 for i in m.unmatched_a())
     costs.extend(m.classes_b[j].persistence / 2 for j in m.unmatched_b())
     return max(costs)
+
+
+# How classes were stored, and quotient matchings costed and lifted, before
+# these loops ran on ints: the canonical shift, a `Fraction` class distance
+# per pair on the product of the two coordinate differences' denominators,
+# a `Fraction` half persistence per unmatched class, and `max` over the
+# `Fraction`s.  The library must give the same values (type included) and
+# the same shifts.
+
+
+def frozen_unit_representative(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction] | None:
+    """How `QuotientPoint` and `CircleInterval` stored a class: None for
+    lo > hi, else both ends shifted by floor(lo), in `Fraction` arithmetic."""
+    if lo > hi:
+        return None
+    shift = math.floor(lo)
+    return lo - shift, hi - shift
+
+
+def _frozen_aligning_shift(p: QuotientPoint, q: QuotientPoint) -> int:
+    u = p.a - q.a
+    v = p.b - q.b
+    den = u.denominator * v.denominator
+    x = u.numerator * v.denominator
+    y = v.numerator * u.denominator
+    return -((x + y + den) // (2 * den))
+
+
+def frozen_matching_cost_quotient(a, b, matching: PartialMatching) -> Fraction:
+    costs = [Fraction(0)]
+    costs.extend(frozen_quotient_linf(a.points[i], b.points[j]) for i, j in matching.pairs)
+    costs.extend(a.points[i].persistence / 2 for i in matching.unmatched_a)
+    costs.extend(b.points[j].persistence / 2 for j in matching.unmatched_b)
+    return max(costs)
+
+
+def frozen_lift_shifts(a, b, matching: PartialMatching) -> dict[tuple[int, int], int]:
+    """The orbit shift each matched pair (i, j) lifted to."""
+    return {(i, j): -_frozen_aligning_shift(a.points[i], b.points[j]) for i, j in matching.pairs}
 
 
 def frozen_write_points(points, fmt: str) -> str:

@@ -24,7 +24,13 @@ from circlepers import (
     to_grid,
     translate_basis,
 )
-from oracles import count_translates, frozen_interval_key, frozen_point_key, scan_translate_basis
+from oracles import (
+    count_translates,
+    frozen_interval_key,
+    frozen_point_key,
+    frozen_unit_representative,
+    scan_translate_basis,
+)
 
 F = Fraction
 
@@ -100,6 +106,28 @@ class TestCircleInterval:
             shifted = CircleInterval(F(lo) + 3, F(hi) + 3)
             assert (ival.lo, ival.hi) == (shifted.lo, shifted.hi) == (F(lo) % 1, F(hi) - (F(lo) - F(lo) % 1))
             assert all(type(x) is F for x in (ival.lo, ival.hi, shifted.lo, shifted.hi))
+
+
+@st.composite
+def mixed_ends(draw):
+    """An end of denominator up to 2^70, anywhere in -3..3."""
+    d = draw(st.one_of(st.sampled_from([1, 2, 64, 2**70]), st.integers(1, 2**70)))
+    return F(draw(st.integers(-3 * d, 3 * d)), d)
+
+
+@given(lo=mixed_ends(), hi=mixed_ends())
+@settings(max_examples=300, deadline=None)
+def test_classes_store_the_frozen_representative(lo, hi):
+    frozen = frozen_unit_representative(lo, hi)
+    if frozen is None:
+        with pytest.raises(ValueError, match="^interval endpoints out of order: "):
+            CircleInterval(lo, hi, CLOSED, CLOSED)
+        with pytest.raises(ValueError, match="^birth exceeds death: "):
+            QuotientPoint(lo, hi)
+        return
+    ival, point = CircleInterval(lo, hi, CLOSED, CLOSED), QuotientPoint(lo, hi)
+    for ends in ((ival.lo, ival.hi), (point.a, point.b)):
+        assert ends == frozen and all(type(x) is F for x in ends)
 
 
 def fiber_dim(m: CircleModule, x) -> int:

@@ -30,7 +30,7 @@ from circlepers import (
 )
 from circlepers import io as fileio
 from circlepers.rationals import _strip_factor, format_number, format_ratio, is_finite, parse_number
-from generators import random_invariant_matching
+from generators import primes_below, random_invariant_matching
 from oracles import frozen_format_number, frozen_parse_number, frozen_write_points
 
 F = Fraction
@@ -416,6 +416,73 @@ class TestJsonNumbers:
         assert err.value.line_no == 2
 
 
+class TestRepeatedTokens:
+    """A read parses each distinct token once; errors and their lines stay."""
+
+    INTERVAL_READERS = (fileio.read_line_module, fileio.read_circle_module)
+    POINT_READERS = (fileio.read_plane_diagram, fileio.read_quotient_diagram)
+
+    @staticmethod
+    def lines(*rows):
+        return "".join(f"{row}\n" for row in rows)
+
+    def test_a_bad_token_repeated_reports_its_first_line(self):
+        intervals = self.lines("co 0 1", "co 1/3 1", "co 0 1/0", "co 1/3 2", "co 0 1", "co 0 2", "co 1/0 2")
+        points = self.lines("0 1", "1/3 1", "0 1/0", "1/3 2", "0 1", "0 2", "1/0 2")
+        for readers, text in ((self.INTERVAL_READERS, intervals), (self.POINT_READERS, points)):
+            for read in readers:
+                with pytest.raises(ParseError) as err:
+                    read(text)
+                assert err.value.line_no == 3
+                assert err.value.message == "not a number: '1/0'"
+
+    def test_json_integers_and_strings_with_the_same_digits_read_equal(self):
+        text = '{"kind": "co", "lo": 0, "hi": "2"}\n{"kind": "co", "lo": "0", "hi": 2}\n'
+        for read in self.INTERVAL_READERS:
+            first, second = read(text).intervals
+            assert (first.lo, first.hi) == (second.lo, second.hi) == (0, 2)
+        text = '{"a": 0, "b": "2"}\n{"a": "0", "b": 2}\n'
+        for read in self.POINT_READERS:
+            first, second = read(text).points
+            assert (first.a, first.b) == (second.a, second.b) == (0, 2)
+
+    def test_true_is_refused_after_the_same_field_read(self):
+        intervals = '{"kind": "co", "lo": 1, "hi": 2}\n{"kind": "co", "lo": true, "hi": 2}\n'
+        points = '{"a": 1, "b": 2}\n{"a": true, "b": 2}\n'
+        for readers, text in ((self.INTERVAL_READERS, intervals), (self.POINT_READERS, points)):
+            for read in readers:
+                with pytest.raises(ParseError) as err:
+                    read(text)
+                assert err.value.line_no == 2
+                assert err.value.message == "not a number: 'True'"
+
+    def test_no_canonicalize_refuses_a_repeated_token_on_its_line(self):
+        # 1.25 first reads as a death, which may leave [0, 1), then as a birth
+        text = self.lines("0.25 1.25", "0.5 1.25", "1.25 1.5", "1.25 2")
+        with pytest.raises(ParseError) as err:
+            fileio.read_quotient_diagram(text, canonicalize=False)
+        assert err.value.line_no == 3
+        assert err.value.message == "point (1.25, 1.5) is not canonical"
+
+    def test_repeated_tokens_read_as_one_value_in_both_formats(self):
+        rows = [("co", "1/3", "2.5"), ("oc", "2.5", "7"), ("co", "1/3", "7"), ("cc", "7", "7")]
+        text = self.lines(*(" ".join(row) for row in rows))
+        records = self.lines(*(json.dumps(dict(zip(("kind", "lo", "hi"), row))) for row in rows))
+        modules = [fileio.read_line_module(text), fileio.read_line_module(records)]
+        assert modules[0] == modules[1]
+        for module in modules:
+            ends = {}
+            for ival in module.intervals:
+                for value in (ival.lo, ival.hi):
+                    # one object per distinct token, so sort-key ties are identities
+                    assert ends.setdefault(value, value) is value
+        points = [("1/3", "2.5"), ("2.5", "7"), ("1/3", "7"), ("1/3", "2.5")]
+        text = self.lines(*(" ".join(point) for point in points))
+        records = self.lines(*(json.dumps(dict(zip(("a", "b"), point))) for point in points))
+        for read in self.POINT_READERS:
+            assert read(text) == read(records)
+
+
 class TestMatchingFiles:
     def test_quotient_matching_round_trip(self):
         matching = PartialMatching.from_pairs({(0, 1), (2, 0)}, 4, 3)
@@ -669,15 +736,6 @@ class TestAgainstTheFrozenWriter:
         diagram = QuotientDiagram(tuple(QuotientPoint(p.a, p.b) for p in points) if copies else points)
         for fmt in FORMATS:
             assert fileio.write_quotient_diagram(diagram, fmt) == frozen_write_points(diagram.points, fmt)
-
-
-def primes_below(n: int) -> list[int]:
-    sieve = bytearray([1]) * n
-    sieve[:2] = b"\0\0"
-    for p in range(2, int(n**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
-    return [p for p in range(n) if sieve[p]]
 
 
 def test_sorting_stays_small_on_file_wide_denominators():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -18,13 +19,21 @@ from circlepers import (
     lift_matching,
     matching_cost_quotient,
     project_matching,
+    quotient_linf_with_shift,
 )
+from circlepers.cli import main
 from generators import (
+    primes_below,
     random_invariant_matching,
     random_partial_matching,
     random_quotient_diagram,
 )
-from oracles import frozen_invariant_cost
+from oracles import (
+    frozen_invariant_cost,
+    frozen_lift_shifts,
+    frozen_matching_cost_quotient,
+    frozen_quotient_linf,
+)
 
 F = Fraction
 
@@ -196,13 +205,19 @@ quotient_diagrams = st.lists(
 
 
 @st.composite
-def matched_diagrams(draw):
+def index_pairs(draw, n_a: int, n_b: int) -> list[tuple[int, int]]:
+    """A one-to-one pairing of some of range(n_a) with some of range(n_b)."""
+    left = draw(st.permutations(range(n_a)))
+    right = draw(st.permutations(range(n_b)))
+    count = draw(st.integers(0, min(n_a, n_b)))
+    return list(zip(left[:count], right[:count]))
+
+
+@st.composite
+def matched_diagrams(draw, diagrams=quotient_diagrams):
     """Two quotient diagrams and a partial matching between them."""
-    a, b = draw(quotient_diagrams), draw(quotient_diagrams)
-    left = draw(st.permutations(range(len(a.points))))
-    right = draw(st.permutations(range(len(b.points))))
-    count = draw(st.integers(0, min(len(left), len(right))))
-    pairs = set(zip(left[:count], right[:count]))
+    a, b = draw(diagrams), draw(diagrams)
+    pairs = draw(index_pairs(len(a.points), len(b.points)))
     return a, b, PartialMatching.from_pairs(pairs, len(a.points), len(b.points))
 
 
@@ -231,3 +246,93 @@ class TestOptimaAgreeAcrossTheQuotient:
             for _ in range(5):
                 m = random_invariant_matching(rng, a.points, b.points)
                 assert invariant_cost(m) >= value
+
+
+# classes of mixed denominators up to 2^70, each given by a representative
+# up to three shifts off the canonical one
+denominators = st.one_of(st.sampled_from([1, 2, 3, 64, 240, 2**61 - 1, 2**70]), st.integers(1, 2**70))
+
+
+@st.composite
+def any_representative(draw):
+    d_a, d_b = draw(denominators), draw(denominators)
+    a = F(draw(st.integers(-3 * d_a, 3 * d_a)), d_a)
+    return QuotientPoint(a, a + F(draw(st.integers(0, 3 * d_b)), d_b))
+
+
+mixed_classes = st.lists(any_representative(), max_size=6).map(tuple)
+mixed_diagrams = mixed_classes.map(QuotientDiagram)
+
+
+@st.composite
+def mixed_orbit_matchings(draw):
+    """An orbit matching of mixed denominators with shifts in -3..3."""
+    a, b = draw(mixed_classes), draw(mixed_classes)
+    pairs = draw(index_pairs(len(a), len(b)))
+    return InvariantMatching(a, b, frozenset(OrbitPair(i, j, draw(st.integers(-3, 3))) for i, j in pairs))
+
+
+class TestAgainstTheFrozenCosts:
+    """Int pair costs on each pair's own scale give the `Fraction` rules'
+    values, type included, and their shifts."""
+
+    @given(instance=matched_diagrams(mixed_diagrams))
+    @settings(max_examples=200, deadline=None)
+    def test_quotient_matching_cost(self, instance):
+        a, b, matching = instance
+        value, frozen = matching_cost_quotient(a, b, matching), frozen_matching_cost_quotient(a, b, matching)
+        assert value == frozen and type(value) is type(frozen)
+
+    @given(m=mixed_orbit_matchings())
+    @settings(max_examples=200, deadline=None)
+    def test_orbit_matching_cost(self, m):
+        value, frozen = invariant_cost(m), frozen_invariant_cost(m)
+        assert value == frozen and type(value) is type(frozen)
+
+    @given(instance=matched_diagrams(mixed_diagrams))
+    @settings(max_examples=200, deadline=None)
+    def test_lift_shifts_and_class_distances(self, instance):
+        a, b, matching = instance
+        lifted = lift_matching(a, b, matching)
+        shifts = frozen_lift_shifts(a, b, matching)
+        assert {(op.a, op.b): op.shift for op in lifted.orbit_pairs} == shifts
+        for (i, j), shift in shifts.items():
+            value, k = quotient_linf_with_shift(a.points[i], b.points[j])
+            frozen = frozen_quotient_linf(a.points[i], b.points[j])
+            assert (value, k) == (frozen, -shift) and type(value) is type(frozen)
+        value, frozen = invariant_cost(lifted), frozen_matching_cost_quotient(a, b, matching)
+        assert value == frozen and type(value) is type(frozen)
+
+    def test_empty_sides(self):
+        point = QuotientDiagram((QuotientPoint(F(-5, 3), F(7, 2**70)),))
+        empty = QuotientDiagram(())
+        for a, b in [(empty, empty), (point, empty), (empty, point)]:
+            matching = PartialMatching.from_pairs((), len(a.points), len(b.points))
+            frozen = frozen_matching_cost_quotient(a, b, matching)
+            for value in (matching_cost_quotient(a, b, matching), invariant_cost(lift_matching(a, b, matching))):
+                assert value == frozen and type(value) is type(frozen)
+
+
+def test_transfer_stays_small_on_file_wide_denominators(tmp_path):
+    # each class has its own prime denominator: costs on the file's common
+    # scale hold ints of the lcm of 6000 primes, about 12 KB each; a
+    # matching cost that scaled every class so peaked at about 167 MiB here,
+    # pair scales at about 4 MiB
+    primes = primes_below(70_000)[:6000]
+    sides = []
+    for name, chunk in (("a", primes[:3000]), ("b", primes[3000:])):
+        path = tmp_path / f"{name}.txt"
+        path.write_text("".join(f"{k}/{p} {k + 2 * p}/{p}\n" for k, p in enumerate(chunk)))
+        sides += [f"--diagram-{name}", str(path)]
+    identity = tmp_path / "identity.txt"
+    identity.write_text("".join(f"pair {i} {i}\n" for i in range(3000)))
+    lifted, projected = tmp_path / "lifted.txt", tmp_path / "projected.txt"
+    tracemalloc.start()
+    try:
+        assert main(["transfer", "lift", *sides, "--matching", str(identity), "-o", str(lifted)]) == 0
+        assert main(["transfer", "project", *sides, "--matching", str(lifted), "-o", str(projected)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert projected.read_text().count("pair") == 3000
+    assert peak < 8 * 2**20
