@@ -55,10 +55,8 @@ from .metric_quotient import (
     QuotientDiagram,
     QuotientPoint,
     bottleneck_quotient,
-    diag_cost_quotient,
     matching_cost_quotient,
     quotient_linf,
-    quotient_linf_with_shift,
 )
 from .rationals import INF, NEG_INF, Ext, format_number, format_ratio, parse_number
 
@@ -93,7 +91,6 @@ __all__ = [
     "bottleneck_quotient",
     "bruteforce_distance",
     "diag_cost",
-    "diag_cost_quotient",
     "diagram_of",
     "diagram_of_line",
     "feasible_interleaving",
@@ -111,7 +108,6 @@ __all__ = [
     "parse_number",
     "project_matching",
     "quotient_linf",
-    "quotient_linf_with_shift",
     "step_composite",
     "to_grid",
     "translate_basis",

@@ -72,20 +72,17 @@ def _cmd_dgm(args) -> int:
 def _cmd_distance(args) -> int:
     if args.no_canonicalize and args.metric != "bottleneck-q":
         raise ValueError("--no-canonicalize applies only to bottleneck-q")
-    text_a = _read_text(args.diagram_a)
-    text_b = _read_text(args.diagram_b)
-    if args.metric == "bottleneck":
-        a = fileio.read_plane_diagram(text_a)
-        b = fileio.read_plane_diagram(text_b)
-        result = bottleneck_plane(a, b)
-    elif args.metric == "bottleneck-q":
-        a = fileio.read_quotient_diagram(text_a, canonicalize=not args.no_canonicalize)
-        b = fileio.read_quotient_diagram(text_b, canonicalize=not args.no_canonicalize)
-        result = bottleneck_quotient(a, b)
-    else:  # interleave-circle: inputs are interval lists for circle modules
-        a = diagram_of(fileio.read_circle_module(text_a))
-        b = diagram_of(fileio.read_circle_module(text_b))
-        result = bottleneck_quotient(a, b)
+    canonicalize = not args.no_canonicalize
+    read, kernel = {
+        "bottleneck": (fileio.read_plane_diagram, bottleneck_plane),
+        "bottleneck-q": (lambda text: fileio.read_quotient_diagram(text, canonicalize), bottleneck_quotient),
+        # interleave-circle: inputs are interval lists for circle modules
+        "interleave-circle": (lambda text: diagram_of(fileio.read_circle_module(text)), bottleneck_quotient),
+    }[args.metric]
+    # both files are read before either is parsed, so an unreadable file is reported first
+    texts = [_read_text(args.diagram_a), _read_text(args.diagram_b)]
+    a, b = [read(text) for text in texts]
+    result = kernel(a, b)
 
     if args.format == "json-lines":
         out = json.dumps({"metric": args.metric, "value": format_ratio(result.value)}) + "\n"
@@ -140,23 +137,19 @@ def _cmd_verify_isometry(args) -> int:
         else:
             _, *fields, (_, status) = record.items()
             lines.append(f"trial {trial}: " + " ".join(f"{k}={v}" for k, v in fields) + f" {status}")
+    summary = {
+        "trials": args.trials,
+        "max_discrepancy": format_ratio(worst),
+        "bound": format_ratio(bound),
+        "violations": violations,
+        "budget_exhausted": exhausted,
+    }
     if args.format == "json-lines":
-        lines.append(
-            json.dumps(
-                {
-                    "record": "summary",
-                    "trials": args.trials,
-                    "max_discrepancy": format_ratio(worst),
-                    "bound": format_ratio(bound),
-                    "violations": violations,
-                    "budget_exhausted": exhausted,
-                }
-            )
-        )
+        lines.append(json.dumps({"record": "summary", **summary}))
     else:
         lines.append(
-            f"max discrepancy {format_ratio(worst)} over {args.trials} trials "
-            f"(bound {format_ratio(bound)}); violations {violations}; budget exhausted {exhausted}"
+            "max discrepancy {max_discrepancy} over {trials} trials (bound {bound}); "
+            "violations {violations}; budget exhausted {budget_exhausted}".format(**summary)
         )
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_VIOLATION if violations else EXIT_OK
@@ -172,30 +165,24 @@ def _cmd_transfer(args) -> int:
         quotient_matching = fileio.read_quotient_matching(
             matching_text, len(diagram_a.points), len(diagram_b.points)
         )
-        lifted = lift_matching(diagram_a, diagram_b, quotient_matching)
-        quotient_cost = matching_cost_quotient(diagram_a, diagram_b, quotient_matching)
-        plane_cost = invariant_cost(lifted)
-        _emit(fileio.write_invariant_matching(lifted, args.format), args.output)
-        ok = plane_cost == quotient_cost
-        report = {
-            "direction": "lift",
-            "quotient_cost": format_ratio(quotient_cost),
-            "invariant_cost": format_ratio(plane_cost),
-            "costs_equal": ok,
-        }
+        orbit_matching = lift_matching(diagram_a, diagram_b, quotient_matching)
+        out = fileio.write_invariant_matching(orbit_matching, args.format)
     else:
         orbit_matching = fileio.read_invariant_matching(matching_text, diagram_a.points, diagram_b.points)
-        projected = project_matching(orbit_matching)
-        plane_cost = invariant_cost(orbit_matching)
-        quotient_cost = matching_cost_quotient(diagram_a, diagram_b, projected)
-        _emit(fileio.write_partial_matching(projected, args.format), args.output)
-        ok = quotient_cost <= plane_cost
-        report = {
-            "direction": "project",
-            "invariant_cost": format_ratio(plane_cost),
-            "quotient_cost": format_ratio(quotient_cost),
-            "cost_not_increased": ok,
-        }
+        quotient_matching = project_matching(orbit_matching)
+        out = fileio.write_partial_matching(quotient_matching, args.format)
+    quotient_cost = matching_cost_quotient(diagram_a, diagram_b, quotient_matching)
+    plane_cost = invariant_cost(orbit_matching)
+    _emit(out, args.output)
+
+    # each direction reports the cost of the matching it read first
+    costs = [("quotient_cost", quotient_cost), ("invariant_cost", plane_cost)]
+    if args.direction == "lift":
+        verdict, ok = "costs_equal", plane_cost == quotient_cost
+    else:
+        costs.reverse()
+        verdict, ok = "cost_not_increased", quotient_cost <= plane_cost
+    report = {"direction": args.direction, **{key: format_ratio(cost) for key, cost in costs}, verdict: ok}
 
     if args.format == "json-lines":
         sys.stderr.write(json.dumps(report) + "\n")
@@ -220,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dgm.add_argument("mode", choices=["line", "circle"])
     p_dgm.add_argument("input", help="interval list file (`KIND lo hi` per line)")
     p_dgm.add_argument("-o", "--output", default=None, help="output file (default: stdout)")
-    p_dgm.add_argument("--format", choices=["text", "json-lines"], default="text")
 
     p_dist = sub.add_parser("distance", help="distance between two diagrams or circle modules")
     p_dist.add_argument("metric", choices=["bottleneck", "bottleneck-q", "interleave-circle"])
@@ -235,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="bottleneck-q only: reject non-canonical quotient points instead of canonicalizing",
     )
-    p_dist.add_argument("--format", choices=["text", "json-lines"], default="text")
 
     p_verify = sub.add_parser(
         "verify-isometry",
@@ -245,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--trials", type=int, default=100)
     p_verify.add_argument("--grid", type=int, default=8, help="grid resolution N")
     p_verify.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p_verify.add_argument("--format", choices=["text", "json-lines"], default="text")
 
     p_transfer = sub.add_parser(
         "transfer", help="lift a quotient matching to orbits, or project one back"
@@ -260,8 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="reject non-canonical quotient points instead of canonicalizing",
     )
-    p_transfer.add_argument("--format", choices=["text", "json-lines"], default="text")
 
+    for command in sub.choices.values():
+        command.add_argument("--format", choices=["text", "json-lines"], default="text")
     return parser
 
 

@@ -86,14 +86,6 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     return Matrix(tuple(reduced), a.cols), [bit.bit_length() - 1 for bit in order]
 
 
-def reduce_vector(reduced: Matrix, pivots: list[int], vec: int) -> int:
-    """Residue of *vec* after elimination against an rref basis."""
-    for row, col in zip(reduced.rows, pivots):
-        if vec >> col & 1:
-            vec ^= row
-    return vec
-
-
 def nullspace(a: Matrix) -> Matrix:
     """Rows of the result form a basis of the kernel of *a*.
 
@@ -127,7 +119,11 @@ def lex_min_solution(a: Matrix, b: int) -> int | None:
     n = len(a.rows)
     top = a.cols + n - 1
     tagged = Matrix(tuple([row | 1 << (top - k) for k, row in enumerate(a.rows)]), a.cols + n)
-    residue = reduce_vector(*rref(tagged), b)
+    reduced, pivots = rref(tagged)
+    residue = b
+    for row, col in zip(reduced.rows, pivots):
+        if residue >> col & 1:
+            residue ^= row
     if residue & ((1 << a.cols) - 1):
         return None
     return sum(1 << k for k in range(n) if residue >> (top - k) & 1)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from . import gf2
 from .gf2 import Matrix
 from .intervals import CircleModule, _members
+from .rationals import shown
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,7 +26,7 @@ class GridModule:
     steps: tuple[Matrix, ...]
     offsets: tuple[int, ...] = field(init=False, repr=False)
     operator: Matrix = field(init=False, repr=False)
-    _even_powers: list[Matrix] = field(init=False, repr=False)
+    _even_powers: dict[int, Matrix] = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.resolution
@@ -48,17 +49,21 @@ class GridModule:
                 rows[base + r] = row << offsets[j]
         object.__setattr__(self, "offsets", tuple(offsets))
         object.__setattr__(self, "operator", Matrix(tuple(rows), offsets[n]))
-        object.__setattr__(self, "_even_powers", [gf2.identity(offsets[n])])
+        object.__setattr__(self, "_even_powers", {0: gf2.identity(offsets[n])})
 
     def even_power(self, s: int) -> Matrix:
         """``operator ** (2 * s)``, the composite of 2s steps on all labels.
 
         Each power is built once, from the one before it by one product
-        with the square, and kept for later calls.
+        with the square, and kept for later calls.  The cache is keyed by
+        exponent and filled with ``setdefault``, so its keys stay a prefix
+        0..L and two threads that build the same power keep one of two
+        equal matrices.
         """
         powers = self._even_powers
-        while len(powers) <= s:
-            powers.append(powers[-1] @ powers[1] if len(powers) > 1 else self.operator @ self.operator)
+        if s not in powers:
+            for t in range(len(powers), s + 1):
+                powers.setdefault(t, powers[t - 1] @ powers[1] if t > 1 else self.operator @ self.operator)
         return powers[s]
 
 
@@ -78,9 +83,7 @@ def to_grid(m: CircleModule, n: int) -> GridModule:
     for ival in m.intervals:
         for endpoint in (ival.lo, ival.hi):
             if (endpoint * n).denominator != 1:
-                raise ValueError(
-                    f"interval endpoint {endpoint} is not a multiple of 1/{n}"
-                )
+                raise ValueError(f"interval endpoint {shown(endpoint)} is not a multiple of 1/{n}")
 
     fibers = [[] for _ in range(n)]
     column = {}  # (interval, position) -> its index in the fiber at position mod N

@@ -76,10 +76,6 @@ class LineInterval:
         if self.lo == self.hi and (self.lo_kind is not CLOSED or self.hi_kind is not CLOSED):
             raise ValueError("a singleton interval must be closed on both sides")
 
-    @property
-    def length(self) -> Ext:
-        return self.hi - self.lo
-
     def contains(self, x) -> bool:
         x = as_ext(x)
         if not is_finite(x):
@@ -122,10 +118,6 @@ class CircleInterval:
         object.__setattr__(self, "hi", hi)
         if self.lo == self.hi and (self.lo_kind is not CLOSED or self.hi_kind is not CLOSED):
             raise ValueError("a singleton interval must be closed on both sides")
-
-    @property
-    def length(self) -> Fraction:
-        return self.hi - self.lo
 
 
 def _sort_key(ival: LineInterval | CircleInterval):

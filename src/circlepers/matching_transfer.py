@@ -58,20 +58,12 @@ class InvariantMatching:
         if len(orbit_a) != len(set(orbit_a)) or len(orbit_b) != len(set(orbit_b)):
             raise ValueError("orbit pairs are not injective")
 
-    # -- derived views ----------------------------------------------------
-
-    def fully_matched_a(self) -> set[int]:
-        return {p.a for p in self.orbit_pairs}
-
-    def fully_matched_b(self) -> set[int]:
-        return {p.b for p in self.orbit_pairs}
-
     def unmatched_a(self) -> set[int]:
         """Classes with no matched representative at all."""
-        return set(range(len(self.classes_a))) - self.fully_matched_a()
+        return set(range(len(self.classes_a))) - {p.a for p in self.orbit_pairs}
 
     def unmatched_b(self) -> set[int]:
-        return set(range(len(self.classes_b))) - self.fully_matched_b()
+        return set(range(len(self.classes_b))) - {p.b for p in self.orbit_pairs}
 
 
 def invariant_cost(m: InvariantMatching) -> Fraction:

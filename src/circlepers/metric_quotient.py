@@ -56,30 +56,17 @@ class QuotientDiagram(Diagram):
     points: tuple[QuotientPoint, ...] = ()
 
 
-def quotient_linf_with_shift(p: QuotientPoint, q: QuotientPoint) -> tuple[Fraction, int]:
-    """Distance between classes plus the aligning shift.
-
-    Minimises max(|u+k|, |v+k|) over integers k, where u and v are the
-    coordinate differences of the canonical representatives.  That maximum
-    is |k - c| + |u - v|/2 with c = -(u+v)/2, so the optimum is the integer
-    nearest to c, ties going to the smaller one.  The returned k shifts the
-    *first* argument's representative onto the minimising pair: the value
-    equals linf((p.a + k, p.b + k), (q.a, q.b)).
-    """
-    cost, scale, k = _class_pair_cost(p, q)
-    return Fraction(cost, 2 * scale), k
-
-
 def _class_pair_cost(p: QuotientPoint, q: QuotientPoint, k: int | None = None) -> tuple[int, int, int]:
     """(cost, scale, k): linf((p.a + k, p.b + k), (q.a, q.b)) is cost/(2 scale),
     on ints.  Without *k*, k is the aligning shift, so the cost is the class
-    distance `quotient_linf_with_shift` returns.
+    distance `quotient_linf` returns.
 
     The scale is the lcm of the pair's four denominators, never more, so a
     cost's size does not depend on the other classes of a file.  With
     x = (p.a - q.a) scale and y = (p.b - q.b) scale, the cost is
     2 max(|x + k scale|, |y + k scale|) = |2k scale + x + y| + |x - y|, and
-    the aligning k is ceil(-(x + y)/(2 scale) - 1/2).
+    the aligning k is ceil(-(x + y)/(2 scale) - 1/2): the integer nearest
+    -(x + y)/(2 scale), ties going to the smaller one.
     """
     pa, pb, qa, qb = p.a, p.b, q.a, q.b
     scale = math.lcm(pa.denominator, pb.denominator, qa.denominator, qb.denominator)
@@ -121,12 +108,8 @@ def _class_cost(sum_gap: int, pers_gap: int, scale: int) -> int:
 
 def quotient_linf(p: QuotientPoint, q: QuotientPoint) -> Fraction:
     """Sup-distance on the quotient: minimum over aligning integer shifts."""
-    return quotient_linf_with_shift(p, q)[0]
-
-
-def diag_cost_quotient(p: QuotientPoint) -> Fraction:
-    """Cost of leaving a class unmatched: half its (shift-invariant) persistence."""
-    return p.persistence / 2
+    cost, scale, _ = _class_pair_cost(p, q)
+    return Fraction(cost, 2 * scale)
 
 
 def matching_cost_quotient(a: QuotientDiagram, b: QuotientDiagram, matching: PartialMatching) -> Fraction:
@@ -150,8 +133,8 @@ def bottleneck_quotient(a: QuotientDiagram, b: QuotientDiagram) -> BottleneckRes
 
     Same threshold search as the plane version, on coordinates scaled by
     their common denominator D, with costs in units of 1/(2D).  A pair
-    costs `_class_cost`, the closed form `quotient_linf_with_shift`
-    unscales; an unmatched class costs its scaled persistence.
+    costs `_class_cost`, the closed form `quotient_linf` unscales; an
+    unmatched class costs its scaled persistence.
     """
     # both diagrams in place: a concatenated tuple on every call fragments
     # the heap of a long-running process

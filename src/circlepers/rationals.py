@@ -88,9 +88,9 @@ def unit_representative(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]
 def as_ext(value) -> Ext:
     """Coerce *value* to an exact extended rational.
 
-    Accepts Fraction, int, numeric strings ("0.25", "3/5", "-inf") and the
-    float infinities.  Finite floats are rejected so inexact values cannot
-    sneak in silently.
+    Accepts Fraction, int and the float infinities.  Finite floats are
+    rejected so inexact values cannot sneak in silently, and strings are
+    not accepted: text enters through `parse_number`.
     """
     if isinstance(value, Fraction):
         return value
@@ -101,11 +101,7 @@ def as_ext(value) -> Ext:
     if isinstance(value, float):
         if math.isinf(value):
             return value
-        raise TypeError(
-            f"finite float {value!r} is inexact; pass a Fraction, an int, or a decimal string"
-        )
-    if isinstance(value, str):
-        return parse_number(value)
+        raise TypeError(f"finite float {value!r} is inexact; pass a Fraction or an int")
     raise TypeError(f"cannot interpret {value!r} as an extended rational")
 
 

@@ -19,7 +19,6 @@ from circlepers import (
     bottleneck_quotient,
     bruteforce_distance,
     diag_cost,
-    diag_cost_quotient,
     feasible_interleaving,
     interleaving_distance_circle,
     interval_distance_line,
@@ -138,8 +137,8 @@ def test_criterion_3_bottleneck_matches_exhaustive_enumeration():
         pair_costs = [[quotient_linf(p, q) for q in b.points] for p in a.points]
         expected = enumerate_bottleneck(
             pair_costs,
-            [diag_cost_quotient(p) for p in a.points],
-            [diag_cost_quotient(q) for q in b.points],
+            [p.persistence / 2 for p in a.points],
+            [q.persistence / 2 for q in b.points],
         )
         if bottleneck_quotient(a, b).value != expected:
             failures.append(("quotient", trial))
@@ -193,13 +192,13 @@ def test_criterion_5_matching_transfer_constructions():
                 failures.append(("project-invariant-i", trial))
             cost = max(cost, quotient_linf(m.classes_a[i], m.classes_b[j]))
         for i in projected.unmatched_a:
-            if i in m.fully_matched_a():
+            if i in {op.a for op in m.orbit_pairs}:
                 failures.append(("project-invariant-ii", trial))
-            cost = max(cost, diag_cost_quotient(m.classes_a[i]))
+            cost = max(cost, m.classes_a[i].persistence / 2)
         for j in projected.unmatched_b:
-            if j in m.fully_matched_b():
+            if j in {op.b for op in m.orbit_pairs}:
                 failures.append(("project-invariant-ii", trial))
-            cost = max(cost, diag_cost_quotient(m.classes_b[j]))
+            cost = max(cost, m.classes_b[j].persistence / 2)
         if cost > plane_cost:
             failures.append(("project-cost", trial))
 

@@ -23,7 +23,6 @@ from circlepers import (
     bottleneck_plane,
     bottleneck_quotient,
     diag_cost,
-    diag_cost_quotient,
     linf,
     matching_cost,
     matching_cost_quotient,
@@ -92,7 +91,7 @@ def _assert_optimal(result, frozen, a, b):
     assert type(result.value) is type(value)
     assert result.value == value
     if isinstance(a, QuotientDiagram):
-        cost, unmatched, pair = matching_cost_quotient, diag_cost_quotient, quotient_linf
+        cost, unmatched, pair = matching_cost_quotient, lambda p: p.persistence / 2, quotient_linf
     else:
         cost, unmatched, pair = matching_cost, diag_cost, linf
     witness = result.witness

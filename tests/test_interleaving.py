@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -109,8 +111,14 @@ class TestToGrid:
         assert loop_is_nilpotent(g)
 
     def test_rejects_off_grid_endpoints(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^interval endpoint 1/3 is not a multiple of 1/4$"):
             grid_of([CircleInterval(F(1, 3), F(2, 3))], 4)
+        # the value in its data-file form, and a long one clipped
+        with pytest.raises(ValueError, match="^interval endpoint 0.2 is not a multiple of 1/4$"):
+            grid_of([CircleInterval(F(1, 5), F(1, 2))], 4)
+        clipped = r"1/51537752073201133103646112976562127270\.\.\. \(50 characters\)"
+        with pytest.raises(ValueError, match=f"^interval endpoint {clipped} is not a multiple of 1/4$"):
+            grid_of([CircleInterval(F(1, 3**100), F(1, 2))], 4)
 
     def test_matches_the_frozen_sampler(self):
         # every grid from 2 up, grid 2 included: its steps cross an arc of 1/2
@@ -223,6 +231,33 @@ class TestGridModule:
                 assert not any(power.rows)
                 past_the_depth += offsets[n] > 0
         assert past_the_depth >= 80
+
+    def test_even_powers_survive_two_threads_building_the_same_power(self, monkeypatch):
+        # both threads compute S^2 before either stores it; the cache must
+        # still hold S^(2s) under key s, not a second S^2 past the first
+        g = grid_of([CircleInterval(F(0), F(3))], 8)
+        barrier = threading.Barrier(2, timeout=10)
+        calls = itertools.count()
+        matmul = gf2.matmul
+
+        def meeting_matmul(a, b):
+            if next(calls) < 2:
+                barrier.wait()
+            return matmul(a, b)
+
+        monkeypatch.setattr(gf2, "matmul", meeting_matmul)
+        threads = [threading.Thread(target=g.even_power, args=(1,)) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert next(calls) == 2
+        monkeypatch.undo()
+        expected = identity(g.offsets[-1])
+        for s in range(6):
+            assert g.even_power(s) == expected, s
+            expected = matmul(g.operator, matmul(g.operator, expected))
 
     def test_even_powers_do_not_depend_on_the_call_order(self):
         rng = random.Random(19)

@@ -24,6 +24,7 @@ from circlepers import (
     to_grid,
     translate_basis,
 )
+from circlepers.rationals import as_ext
 from oracles import (
     count_translates,
     frozen_interval_key,
@@ -73,12 +74,19 @@ class TestLineInterval:
         with pytest.raises(ValueError):
             LineInterval(F(3), F(1))
 
+    def test_rejects_strings(self):
+        # text is read by parse_number; the library takes values
+        with pytest.raises(TypeError):
+            as_ext("0.5")
+        with pytest.raises(TypeError):
+            LineInterval("0", "1")
+
     def test_infinite_membership_and_length(self):
         ray = LineInterval(NEG_INF, F(3), OPEN, CLOSED)
         assert ray.contains(-1000)
         assert ray.contains(3)
         assert not ray.contains(4)
-        assert ray.length == INF
+        assert ray.hi - ray.lo == INF
 
 
 class TestCircleInterval:
@@ -97,7 +105,7 @@ class TestCircleInterval:
 
     def test_winding_interval_allowed(self):
         long = CircleInterval(F(1, 10), F(23, 10))
-        assert long.length == F(22, 10)
+        assert long.hi - long.lo == F(22, 10)
 
     def test_canonical_int_and_shifted_inputs_store_equal_fractions(self):
         # a canonical interval skips the shift; the stored values must not show it

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from circlepers import (
     InvariantMatching,
-    diag_cost_quotient,
     quotient_linf,
     OrbitPair,
     PartialMatching,
@@ -19,7 +18,6 @@ from circlepers import (
     lift_matching,
     matching_cost_quotient,
     project_matching,
-    quotient_linf_with_shift,
 )
 from circlepers.cli import main
 from generators import (
@@ -59,8 +57,8 @@ class TestInvariantMatchingValidation:
         classes_a = _classes(("0", "0.5"), ("0.25", "0.75"), ("0.5", "1"))
         classes_b = _classes(("0.1", "0.6"), ("0.3", "0.8"))
         m = InvariantMatching(classes_a, classes_b, frozenset({OrbitPair(0, 0, 0)}))
-        assert m.fully_matched_a() == {0}
-        assert m.fully_matched_b() == {0}
+        assert {op.a for op in m.orbit_pairs} == {0}
+        assert {op.b for op in m.orbit_pairs} == {0}
         assert m.unmatched_a() == {1, 2}
         assert m.unmatched_b() == {1}
 
@@ -144,11 +142,11 @@ class TestProjectMatching:
                 cost = max(cost, quotient_linf(m.classes_a[i], m.classes_b[j]))
             for i in projected.unmatched_a:
                 # invariant (ii): an unmatched class has an unmatched representative
-                assert i not in m.fully_matched_a()
-                cost = max(cost, diag_cost_quotient(m.classes_a[i]))
+                assert i not in {op.a for op in m.orbit_pairs}
+                cost = max(cost, m.classes_a[i].persistence / 2)
             for j in projected.unmatched_b:
-                assert j not in m.fully_matched_b()
-                cost = max(cost, diag_cost_quotient(m.classes_b[j]))
+                assert j not in {op.b for op in m.orbit_pairs}
+                cost = max(cost, m.classes_b[j].persistence / 2)
             assert cost <= plane_cost
 
 
@@ -296,10 +294,10 @@ class TestAgainstTheFrozenCosts:
         lifted = lift_matching(a, b, matching)
         shifts = frozen_lift_shifts(a, b, matching)
         assert {(op.a, op.b): op.shift for op in lifted.orbit_pairs} == shifts
-        for (i, j), shift in shifts.items():
-            value, k = quotient_linf_with_shift(a.points[i], b.points[j])
+        for i, j in shifts:
+            value = quotient_linf(a.points[i], b.points[j])
             frozen = frozen_quotient_linf(a.points[i], b.points[j])
-            assert (value, k) == (frozen, -shift) and type(value) is type(frozen)
+            assert value == frozen and type(value) is type(frozen)
         value, frozen = invariant_cost(lifted), frozen_matching_cost_quotient(a, b, matching)
         assert value == frozen and type(value) is type(frozen)
 

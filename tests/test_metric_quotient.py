@@ -7,15 +7,15 @@ from hypothesis import strategies as st
 
 from circlepers import io as fileio
 from circlepers import (
+    PartialMatching,
     PlanePoint,
     QuotientDiagram,
     QuotientPoint,
     bottleneck_quotient,
-    diag_cost_quotient,
+    lift_matching,
     linf,
     matching_cost_quotient,
     quotient_linf,
-    quotient_linf_with_shift,
 )
 from circlepers.rationals import format_number
 from generators import random_quotient_diagram, random_quotient_point
@@ -29,6 +29,20 @@ quotient_points = st.builds(
     st.fractions(min_value=0, max_value=2, max_denominator=20),
 )
 translated_sides = st.lists(st.tuples(quotient_points, st.integers(-3, 3)), max_size=8)
+
+
+def aligning_shift(p: QuotientPoint, q: QuotientPoint) -> int:
+    """The k with quotient_linf(p, q) == linf((p.a + k, p.b + k), (q.a, q.b)),
+    read off the lift of the one pair: its orbit pair's shift is -k."""
+    one = PartialMatching.from_pairs({(0, 0)}, 1, 1)
+    (orbit_pair,) = lift_matching(QuotientDiagram((p,)), QuotientDiagram((q,)), one).orbit_pairs
+    return -orbit_pair.shift
+
+
+def unmatched_cost(p: QuotientPoint):
+    """What `matching_cost_quotient` charges for leaving *p* unmatched."""
+    alone = QuotientDiagram((p,))
+    return matching_cost_quotient(alone, QuotientDiagram(()), PartialMatching.from_pairs((), 1, 0))
 
 
 class TestQuotientPoint:
@@ -63,11 +77,9 @@ class TestQuotientLinf:
         assert quotient_linf(QuotientPoint(F(2, 10), F(5, 10)), QuotientPoint(F(3, 10), F(7, 10))) == F(2, 10)
 
     def test_shift_aligns_the_pair(self):
-        value, shift = quotient_linf_with_shift(
-            QuotientPoint(F(9, 10), F(13, 10)), QuotientPoint(F(0), F(4, 10))
-        )
-        assert value == F(1, 10)
-        assert shift == -1
+        p, q = QuotientPoint(F(9, 10), F(13, 10)), QuotientPoint(F(0), F(4, 10))
+        assert quotient_linf(p, q) == F(1, 10)
+        assert aligning_shift(p, q) == -1
 
     def test_identity(self):
         p = random_quotient_point(random.Random(3))
@@ -78,7 +90,7 @@ class TestQuotientLinf:
         for _ in range(300):
             p = random_quotient_point(rng)
             q = random_quotient_point(rng)
-            value, shift = quotient_linf_with_shift(p, q)
+            value, shift = quotient_linf(p, q), aligning_shift(p, q)
             assert max(abs(p.a - q.a + shift), abs(p.b - q.b + shift)) == value
             assert linf(PlanePoint(p.a + shift, p.b + shift), PlanePoint(q.a, q.b)) == value
 
@@ -91,7 +103,7 @@ class TestQuotientLinf:
                 p = QuotientPoint(a, a + F(rng.randint(0, 3 * den), den))
                 q = QuotientPoint(c, c + F(rng.randint(0, 3 * den), den))
                 costs = [(max(abs(p.a - q.a + k), abs(p.b - q.b + k)), k) for k in range(-5, 6)]
-                assert quotient_linf_with_shift(p, q) == min(costs)
+                assert (quotient_linf(p, q), aligning_shift(p, q)) == min(costs)
 
     @given(p=quotient_points, q=quotient_points)
     @settings(max_examples=150, deadline=None)
@@ -112,13 +124,15 @@ class TestQuotientLinf:
 
 
 class TestDiagCostQuotient:
+    """An unmatched class costs half its persistence."""
+
     def test_examples(self):
-        assert diag_cost_quotient(QuotientPoint(F(0), F(1, 2))) == F(1, 4)
-        assert diag_cost_quotient(QuotientPoint(F(2, 10), F(14, 10))) == F(6, 10)
-        assert diag_cost_quotient(QuotientPoint(F(3, 10), F(3, 10))) == 0
+        assert unmatched_cost(QuotientPoint(F(0), F(1, 2))) == F(1, 4)
+        assert unmatched_cost(QuotientPoint(F(2, 10), F(14, 10))) == F(6, 10)
+        assert unmatched_cost(QuotientPoint(F(3, 10), F(3, 10))) == 0
 
     def test_class_invariance(self):
-        assert diag_cost_quotient(QuotientPoint(F(23, 10), F(27, 10))) == diag_cost_quotient(
+        assert unmatched_cost(QuotientPoint(F(23, 10), F(27, 10))) == unmatched_cost(
             QuotientPoint(F(3, 10), F(7, 10))
         )
 
@@ -147,8 +161,8 @@ class TestBottleneckQuotient:
             pair_costs = [[quotient_linf(p, q) for q in b.points] for p in a.points]
             expected = enumerate_bottleneck(
                 pair_costs,
-                [diag_cost_quotient(p) for p in a.points],
-                [diag_cost_quotient(q) for q in b.points],
+                [p.persistence / 2 for p in a.points],
+                [q.persistence / 2 for q in b.points],
             )
             value, witness = bottleneck_quotient(a, b)
             assert value == expected
