@@ -205,10 +205,20 @@ def _diagram_rows(text: str) -> Iterator[tuple[int, Ext, Ext, int]]:
         yield line_no, a, b, multiplicity
 
 
+def _repeated(line_no: int, point, multiplicity: int) -> list:
+    """*multiplicity* copies of *point*; a count whose list cannot be made
+    (`MemoryError`, or `OverflowError` past an index) is an input error on
+    *line_no*, not an internal one."""
+    try:
+        return [point] * multiplicity
+    except (MemoryError, OverflowError) as exc:
+        raise ParseError(line_no, f"multiplicity too large, got {quoted(multiplicity)}") from exc
+
+
 def read_plane_diagram(text: str) -> Diagram:
     points = []
     for line_no, a, b, multiplicity in _diagram_rows(text):
-        points.extend([_on_line(line_no, PlanePoint, a, b)] * multiplicity)
+        points.extend(_repeated(line_no, _on_line(line_no, PlanePoint, a, b), multiplicity))
     return Diagram(tuple(points))
 
 
@@ -221,7 +231,7 @@ def read_quotient_diagram(text: str, canonicalize: bool = True) -> QuotientDiagr
             raise ParseError(line_no, f"point ({shown(a)}, {shown(b)}) is not canonical")
         point = _on_line(line_no, QuotientPoint, a, b)
         _written(line_no, point.b)
-        points.extend([point] * multiplicity)
+        points.extend(_repeated(line_no, point, multiplicity))
     return QuotientDiagram(tuple(points))
 
 

@@ -14,13 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .metric_plane import PartialMatching
-from .metric_quotient import (
-    QuotientDiagram,
-    QuotientPoint,
-    _class_pair_cost,
-    _half_persistence_cost,
-    _largest_cost,
-)
+from .metric_quotient import QuotientDiagram, QuotientPoint, _class_pair_cost, _largest_cost
 
 
 @dataclass(frozen=True)
@@ -74,12 +68,8 @@ def invariant_cost(m: InvariantMatching) -> Fraction:
     unmatched and pays half its persistence.
     """
     # linf((p.a, p.b), (q.a + op.shift, q.b + op.shift)): p moved by -op.shift
-    costs = [
-        _class_pair_cost(m.classes_a[op.a], m.classes_b[op.b], -op.shift)[:2] for op in m.orbit_pairs
-    ]
-    costs.extend(_half_persistence_cost(m.classes_a[i]) for i in m.unmatched_a())
-    costs.extend(_half_persistence_cost(m.classes_b[j]) for j in m.unmatched_b())
-    return _largest_cost(costs)
+    pairs = [(op.a, op.b, -op.shift) for op in m.orbit_pairs]
+    return _largest_cost(m.classes_a, m.classes_b, pairs, m.unmatched_a(), m.unmatched_b())
 
 
 def project_matching(m: InvariantMatching) -> PartialMatching:

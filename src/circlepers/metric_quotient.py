@@ -56,39 +56,44 @@ class QuotientDiagram(Diagram):
     points: tuple[QuotientPoint, ...] = ()
 
 
+def _sum_and_persistence(p: QuotientPoint, scale: int) -> tuple[int, int]:
+    # (p.a + p.b, p.b - p.a) times *scale*, a multiple of both denominators
+    a = p.a.numerator * (scale // p.a.denominator)
+    b = p.b.numerator * (scale // p.b.denominator)
+    return a + b, b - a
+
+
 def _class_pair_cost(p: QuotientPoint, q: QuotientPoint, k: int | None = None) -> tuple[int, int, int]:
     """(cost, scale, k): linf((p.a + k, p.b + k), (q.a, q.b)) is cost/(2 scale),
     on ints.  Without *k*, k is the aligning shift, so the cost is the class
     distance `quotient_linf` returns.
 
     The scale is the lcm of the pair's four denominators, never more, so a
-    cost's size does not depend on the other classes of a file.  With
-    x = (p.a - q.a) scale and y = (p.b - q.b) scale, the cost is
-    2 max(|x + k scale|, |y + k scale|) = |2k scale + x + y| + |x - y|, and
-    the aligning k is ceil(-(x + y)/(2 scale) - 1/2): the integer nearest
-    -(x + y)/(2 scale), ties going to the smaller one.
+    cost's size does not depend on the other classes of a file.  With Δsum
+    and Δpers the gaps between the two classes' `_sum_and_persistence` on
+    that scale, the cost is |2k scale + Δsum| + |Δpers|, and the aligning k
+    is ceil(-Δsum/(2 scale) - 1/2): the integer nearest -Δsum/(2 scale),
+    ties going to the smaller one.
     """
-    pa, pb, qa, qb = p.a, p.b, q.a, q.b
-    scale = math.lcm(pa.denominator, pb.denominator, qa.denominator, qb.denominator)
-    x = pa.numerator * (scale // pa.denominator) - qa.numerator * (scale // qa.denominator)
-    y = pb.numerator * (scale // pb.denominator) - qb.numerator * (scale // qb.denominator)
+    scale = math.lcm(p.a.denominator, p.b.denominator, q.a.denominator, q.b.denominator)
+    sum_p, pers_p = _sum_and_persistence(p, scale)
+    sum_q, pers_q = _sum_and_persistence(q, scale)
     if k is None:
-        k = -((x + y + scale) // (2 * scale))
-    return abs(2 * k * scale + x + y) + abs(x - y), scale, k
+        k = -((sum_p - sum_q + scale) // (2 * scale))
+    return abs(2 * k * scale + sum_p - sum_q) + abs(pers_p - pers_q), scale, k
 
 
-def _half_persistence_cost(p: QuotientPoint) -> tuple[int, int]:
-    """(cost, scale) with half the persistence of *p* = cost/(2 scale), on ints."""
-    a, b = p.a, p.b
-    scale = math.lcm(a.denominator, b.denominator)
-    return b.numerator * (scale // b.denominator) - a.numerator * (scale // a.denominator), scale
-
-
-def _largest_cost(costs) -> Fraction:
-    """The largest of the (cost, scale) pairs in *costs*, and 0 for none, as
-    the `Fraction` cost/(2 scale).  The maximum is kept as an int pair and
-    compared by cross-multiplication, so no `Fraction` is built before the
-    end and no scale outgrows one pair's."""
+def _largest_cost(a, b, pairs, unmatched_a, unmatched_b) -> Fraction:
+    """Bottleneck cost of a matching between the class tuples *a* and *b*:
+    a[i] shifted by k is matched to b[j] for each (i, j, k) of *pairs*, k None
+    being the aligning shift, and each unmatched class costs half its
+    persistence.  Every cost is an int pair (cost, scale), cost/(2 scale), on
+    its own lcm; the largest is found by cross-multiplication, so no scale
+    outgrows one pair's and one `Fraction` is built at the end (0 for none)."""
+    costs = [_class_pair_cost(a[i], b[j], k)[:2] for i, j, k in pairs]
+    for p in [a[i] for i in unmatched_a] + [b[j] for j in unmatched_b]:
+        scale = math.lcm(p.a.denominator, p.b.denominator)
+        costs.append((_sum_and_persistence(p, scale)[1], scale))
     best, best_scale = 0, 1
     for cost, scale in costs:
         if cost * best_scale > best * scale:
@@ -115,17 +120,8 @@ def quotient_linf(p: QuotientPoint, q: QuotientPoint) -> Fraction:
 def matching_cost_quotient(a: QuotientDiagram, b: QuotientDiagram, matching: PartialMatching) -> Fraction:
     """Bottleneck cost of a partial matching between quotient diagrams."""
     matching.validate_for(len(a.points), len(b.points))
-    costs = [_class_pair_cost(a.points[i], b.points[j])[:2] for i, j in matching.pairs]
-    costs.extend(_half_persistence_cost(a.points[i]) for i in matching.unmatched_a)
-    costs.extend(_half_persistence_cost(b.points[j]) for j in matching.unmatched_b)
-    return _largest_cost(costs)
-
-
-def _sum_and_persistence(p: QuotientPoint, scale: int) -> tuple[int, int]:
-    # (p.a + p.b, p.b - p.a) times *scale*, a multiple of both denominators
-    a = p.a.numerator * (scale // p.a.denominator)
-    b = p.b.numerator * (scale // p.b.denominator)
-    return a + b, b - a
+    pairs = [(i, j, None) for i, j in matching.pairs]
+    return _largest_cost(a.points, b.points, pairs, matching.unmatched_a, matching.unmatched_b)
 
 
 def bottleneck_quotient(a: QuotientDiagram, b: QuotientDiagram) -> BottleneckResult:

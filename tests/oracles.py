@@ -7,9 +7,9 @@ as they were before a faster one replaced them: the numpy grid search, the
 reader and writer, the `Fraction` sort keys, the orbit cost on plane
 representatives, the `Fraction` canonical classes, quotient matching cost
 and lift shifts, and the `Counter` diagram writer.  None of it shares code
-with the algorithmic paths it is used to verify.  Two grid tools live here
-too, because only tests build with them: the blockwise direct sum and the
-loop-nilpotency check.
+with the algorithmic paths it is used to verify.  Three grid tools live here
+too, because only tests build with them: the blockwise direct sum, the
+loop-nilpotency check and the closed-open snap of a module's intervals.
 """
 
 from __future__ import annotations
@@ -97,6 +97,26 @@ def count_translates(interval: CircleInterval, x: Fraction, pad: int = 2) -> int
         elif z == hi and interval.hi_kind is CLOSED and lo != hi:
             count += 1
     return count
+
+
+def snapped(m, n: int):
+    """*m* with each interval |lo, hi| replaced by [lo + o/N, hi + c/N), where
+    o = 1 if lo is open and c = 1 if hi is closed, and those this makes empty
+    dropped.  Works on line and circle modules alike.
+
+    At grid N an on-grid interval holds the same sample positions as its
+    snap.  The continuous distances ignore endpoint kinds and sampling does
+    not, so the grid distance is ceil(N d')/N with d' the distance of the
+    snapped modules, not of the modules themselves.
+    """
+    step = Fraction(1, n)
+    intervals = []
+    for ival in m.intervals:
+        lo = ival.lo + step if ival.lo_kind is OPEN else ival.lo
+        hi = ival.hi + step if ival.hi_kind is CLOSED else ival.hi
+        if lo < hi:
+            intervals.append(type(ival)(lo, hi, CLOSED, OPEN))
+    return type(m)(tuple(intervals))
 
 
 # -- the numpy grid-search kernel, frozen as the reference ---------------------

@@ -473,6 +473,19 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"error: {NO_FORM}\n"
 
+    # MemoryError and OverflowError both came out as internal errors (exit 3);
+    # neither count allocates anything, see test_io
+    @pytest.mark.parametrize("multiplicity", [2**61, 2**63], ids=["memory", "overflow"])
+    @pytest.mark.parametrize("metric", ["bottleneck", "bottleneck-q"])
+    def test_multiplicity_that_cannot_be_allocated_exits_2(self, tmp_path, capsys, metric, multiplicity):
+        other = write(tmp_path, "b.txt", "0 1\n")
+        for line in (f"0 1 {multiplicity}\n", '{"a": 0, "b": 1, "multiplicity": %d}\n' % multiplicity):
+            path = write(tmp_path, "a.txt", line)
+            assert main(["distance", metric, path, other]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: line 1: multiplicity too large, got {multiplicity}\n"
+
     def test_unexpected_exception_exits_3(self, tmp_path, capsys, monkeypatch):
         def broken(args):
             raise RuntimeError("boom")
@@ -483,6 +496,36 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err == "internal error: RuntimeError: boom\n"
         assert captured.out == ""
+
+    def test_never_imports_numpy(self, tmp_path):
+        # README's "nothing else at run time": a fresh interpreter runs each
+        # command and numpy is still not loaded, whether or not it is installed
+        intervals = write(tmp_path, "iv.txt", "co 0.2 0.5\ncc 0.1 1.4\n")
+        a = write(tmp_path, "a.txt", "0 0.5\n0.25 1\n")
+        b = write(tmp_path, "b.txt", "0.1 0.6\n")
+        matching = write(tmp_path, "m.txt", "pair 0 0\nunmatchedA 1\n")
+        commands = [
+            ["dgm", "circle", intervals],
+            ["distance", "bottleneck-q", a, b, "--witness"],
+            ["transfer", "lift", "--diagram-a", a, "--diagram-b", b, "--matching", matching],
+            ["verify-isometry", "--trials", "5", "--grid", "8"],
+        ]
+        script = "\n".join(
+            [
+                "import sys",
+                "import circlepers.cli",
+                f"codes = [circlepers.cli.main(argv) for argv in {commands!r}]",
+                "print(codes, 'numpy' in sys.modules)",
+            ]
+        )
+        src = str(Path(circlepers.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] False"
 
     def test_runs_without_numpy(self, tmp_path):
         a = write(tmp_path, "a.txt", "0 0.5\n")

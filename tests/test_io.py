@@ -317,6 +317,18 @@ class TestDiagramFiles:
             messages.append(err.value.message)
         assert messages[0] == messages[1]
 
+    # 2^61 copies pass no list-size check (MemoryError) and 2^63 is no index
+    # (OverflowError): both are refused before any memory is allocated.  A
+    # count a host could allocate is never tried here.
+    @pytest.mark.parametrize("multiplicity", [2**61, 2**63], ids=["memory", "overflow"])
+    def test_multiplicity_that_cannot_be_allocated_is_a_parse_error(self, multiplicity):
+        for line in (f"0 1 {multiplicity}\n", '{"a": 0, "b": 1, "multiplicity": %d}\n' % multiplicity):
+            for reader in (fileio.read_plane_diagram, fileio.read_quotient_diagram):
+                with pytest.raises(ParseError) as err:
+                    reader("0 1\n" + line)
+                assert err.value.line_no == 2
+                assert err.value.message == f"multiplicity too large, got {multiplicity}"
+
     def test_json_unknown_field_is_an_error_naming_it(self):
         text = '{"a": 0, "b": 1}\n{"a": 0, "b": 1, "multiplicty": 3}\n'
         for reader in (fileio.read_plane_diagram, fileio.read_quotient_diagram):

@@ -26,8 +26,8 @@ from circlepers import (
     matching_cost,
     to_grid,
 )
-from generators import random_partial_matching, random_plane_diagram
-from oracles import enumerate_bottleneck
+from generators import KIND_PAIRS, random_partial_matching, random_plane_diagram
+from oracles import enumerate_bottleneck, snapped
 
 F = Fraction
 
@@ -183,6 +183,26 @@ class TestBottleneckPlane:
         assert matching_cost(a, b, witness) == value
 
 
+def _half_line_module(rng: random.Random, n: int, random_kinds: bool = False) -> LineModule:
+    """Up to three line intervals on the 1/N grid inside [0, 1/2): closed-open
+    ones of positive length, or with *random_kinds* any kinds, with closed
+    singletons."""
+    intervals = []
+    for _ in range(rng.randint(0, 3)):
+        lo = rng.randrange(n // 2 - 1)
+        if random_kinds:
+            hi = rng.randint(lo, n // 2 - 1)
+            kinds = (CLOSED, CLOSED) if hi == lo else rng.choice(KIND_PAIRS)
+        else:
+            hi, kinds = rng.randint(lo + 1, n // 2 - 1), (CLOSED, OPEN)
+        intervals.append(LineInterval(F(lo, n), F(hi, n), *kinds))
+    return LineModule(tuple(intervals))
+
+
+def _on_the_circle(m: LineModule) -> CircleModule:
+    return CircleModule(tuple(CircleInterval(i.lo, i.hi, i.lo_kind, i.hi_kind) for i in m.intervals))
+
+
 class TestAgainstTheGridSearch:
     def test_grid_distance_is_the_plane_distance_rounded_up(self):
         # closed-open line intervals in the first half of [0, 1), embedded as
@@ -192,19 +212,20 @@ class TestAgainstTheGridSearch:
         # bottleneck distance (the type-A isometry, sampled at 1/N)
         n = 16
         rng = random.Random(3)
-
-        def line_module():
-            intervals = []
-            for _ in range(rng.randint(0, 3)):
-                lo = rng.randrange(n // 2 - 1)
-                intervals.append(LineInterval(F(lo, n), F(rng.randint(lo + 1, n // 2 - 1), n), CLOSED, OPEN))
-            return LineModule(tuple(intervals))
-
-        def on_the_circle(m):
-            return CircleModule(tuple(CircleInterval(i.lo, i.hi, i.lo_kind, i.hi_kind) for i in m.intervals))
-
         for trial in range(200):
-            a, b = line_module(), line_module()
+            a, b = _half_line_module(rng, n), _half_line_module(rng, n)
             d = bottleneck_plane(diagram_of_line(a), diagram_of_line(b)).value
-            grid_value = bruteforce_distance(to_grid(on_the_circle(a), n), to_grid(on_the_circle(b), n))
+            grid_value = bruteforce_distance(to_grid(_on_the_circle(a), n), to_grid(_on_the_circle(b), n))
+            assert grid_value == F(math.ceil(n * d), n), (trial, a, b)
+
+    def test_grid_distance_is_the_snapped_plane_distance_rounded_up(self):
+        # the same with every endpoint kind: at 1/N an interval holds the
+        # sample positions of its closed-open snap (which may end at 1/2), so
+        # the rule holds for the plane distance d' of the snapped modules
+        n = 16
+        rng = random.Random(4)
+        for trial in range(300):
+            a, b = _half_line_module(rng, n, True), _half_line_module(rng, n, True)
+            d = bottleneck_plane(diagram_of_line(snapped(a, n)), diagram_of_line(snapped(b, n))).value
+            grid_value = bruteforce_distance(to_grid(_on_the_circle(a), n), to_grid(_on_the_circle(b), n))
             assert grid_value == F(math.ceil(n * d), n), (trial, a, b)
