@@ -3,13 +3,13 @@
 Diagram points are (birth, death) pairs with birth <= death; unmatched points
 pay half their persistence.  The bottleneck distance is computed exactly: the
 optimum is always one of finitely many candidate values (pairwise distances
-and half-persistences), located by binary search.  The search runs on
-scaled integer costs; `Fraction`s appear only at the API boundary.
+and half-persistences), reached by one threshold ascent per diagram that
+keeps its matching as the threshold rises.  The search runs on scaled
+integer costs; `Fraction`s appear only at the API boundary.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -194,21 +194,75 @@ def _covers(rows: list[list[Cost]], diag: list[Cost], n_right: int, t: Cost) -> 
     return _kuhn_matching(must, n_right, adjacency)
 
 
-def _feasible(pair_costs, columns, diag_a, diag_b, t: Cost) -> bool:
-    """Whether some matching of cost <= t leaves only points of unmatched
-    cost <= t unmatched.
+def _least_cover(rows: list[list[Cost]], diag: list[Cost], n_right: int, t: Cost) -> Cost:
+    """The least threshold >= t at which the points of unmatched cost above
+    it can be matched into the right side along entries within it (row i
+    holds point i's costs).
 
-    By Mendelsohn-Dulmage, a matching that covers A's points of unmatched
-    cost > t and one that covers B's combine into one that covers both, so
-    two one-sided matchings on the plain A x B graph decide it.
+    One ascent keeps its matching as the threshold rises.  Roots are taken
+    in index order; a root of unmatched cost > t searches, breadth first,
+    an alternating path along entries <= t.  The path ends at a free right
+    point, or at a right point whose partner has unmatched cost <= t: that
+    partner no longer needs one and gives it up.  A search that fails
+    reaches left points whose unmatched costs all exceed t and whose
+    neighbours within t are fewer than they are, so no matching exists
+    below the least unmatched cost among them or the least entry from them
+    to a right point they did not reach; t moves to that value.
     """
-    return _covers(pair_costs, diag_a, len(diag_b), t) is not None and (
-        _covers(columns, diag_b, len(diag_a), t) is not None
-    )
+    match_right = [-1] * n_right
+    # order[u]: the right points by ascending cost from left point u (ties by
+    # index), sorted when a search first reaches u; a search reads only the
+    # prefix within t, and a failed one the first entry after it
+    order: dict[int, list[int]] = {}
+    for root, d in enumerate(diag):
+        while d > t:
+            # queue holds the reached left points in order; entered[u] is
+            # the right point by which u was entered (its partner), -1 for
+            # the root; reached[v] is the left point that reached v, -1 for
+            # a right point not reached
+            queue = [root]
+            entered = {root: -1}
+            reached = [-1] * n_right
+            end = -1
+            for u in queue:
+                row = rows[u]
+                if u not in order:
+                    order[u] = sorted(range(n_right), key=row.__getitem__)
+                for v in order[u]:
+                    if row[v] > t:
+                        break
+                    if reached[v] == -1:
+                        reached[v] = u
+                        w = match_right[v]
+                        if w == -1 or diag[w] <= t:
+                            end = v
+                            break
+                        entered[w] = v
+                        queue.append(w)
+                if end != -1:
+                    break
+            if end == -1:
+                step = min(diag[u] for u in queue)
+                for u in queue:
+                    row = rows[u]
+                    for v in order[u]:
+                        if row[v] > t and reached[v] == -1:
+                            step = min(step, row[v])
+                            break
+                if not step > t:
+                    raise RuntimeError(f"bottleneck threshold ascent stalled at {t}")
+                t = step
+            else:
+                while end != -1:
+                    u = reached[end]
+                    match_right[end] = u
+                    end = entered[u]
+                break
+    return t
 
 
 def _witness(pair_costs, columns, diag_a, diag_b, t: Cost) -> PartialMatching:
-    """The witness at a feasible t, built from the two covers of `_feasible`.
+    """The witness at a feasible t, built from the two covers `_covers` finds.
 
     1. M is the cover of A's points of unmatched cost > t into B.
     2. C is the cover of B's such points into A.
@@ -251,25 +305,17 @@ def solve_bottleneck(
 ) -> BottleneckResult:
     """Exact bottleneck optimum for explicit cost tables, in their units.
 
-    The optimum is the smallest feasible member of the finite candidate set
-    (all table entries and 0).  Feasibility is monotone in the threshold, so
-    a binary search finds it with the Mendelsohn-Dulmage test of
-    `_feasible`; `_witness` builds the witness from the same two covers.
+    A threshold t is feasible when a matching within t covers A's points of
+    unmatched cost > t and another covers B's (Mendelsohn-Dulmage: the two
+    combine into one).  Each cover only gets easier as t grows, so the
+    optimum is the larger of the two least thresholds; `_least_cover` finds
+    A's from 0 and then B's from A's.  `_witness` builds the witness at the
+    optimum from two covers found afresh.
     """
-    candidates = {0, *diag_a, *diag_b}
-    for row in pair_costs:
-        candidates.update(row)
-    ordered = sorted(candidates)
     columns = [[row[j] for row in pair_costs] for j in range(len(diag_b))]
-
-    # the largest candidate is always feasible
-    lo = bisect.bisect_left(
-        ordered,
-        True,
-        hi=len(ordered) - 1,
-        key=lambda t: _feasible(pair_costs, columns, diag_a, diag_b, t),
-    )
-    return BottleneckResult(ordered[lo], _witness(pair_costs, columns, diag_a, diag_b, ordered[lo]))
+    t = _least_cover(pair_costs, diag_a, len(diag_b), 0)
+    t = _least_cover(columns, diag_b, len(diag_a), t)
+    return BottleneckResult(t, _witness(pair_costs, columns, diag_a, diag_b, t))
 
 
 def bottleneck_plane(a: Diagram, b: Diagram) -> BottleneckResult:

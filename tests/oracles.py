@@ -3,13 +3,14 @@
 Most of it works by definition-level enumeration: all partial matchings,
 all integer translates in a window, and so on.  The rest are kernels frozen
 as they were before a faster one replaced them: the numpy grid search, the
-`Fraction` grid sampler, the `Fraction` bottleneck search, the number
-reader and writer, the `Fraction` sort keys, the orbit cost on plane
-representatives, the `Fraction` canonical classes, quotient matching cost
-and lift shifts, and the `Counter` diagram writer.  None of it shares code
-with the algorithmic paths it is used to verify.  Three grid tools live here
-too, because only tests build with them: the blockwise direct sum, the
-loop-nilpotency check and the closed-open snap of a module's intervals.
+`Fraction` grid sampler, the `Fraction` bottleneck search, the integer
+kernel's threshold bisection, the number reader and writer, the `Fraction`
+sort keys, the orbit cost on plane representatives, the `Fraction`
+canonical classes, quotient matching cost and lift shifts, and the
+`Counter` diagram writer.  None of it shares code with the algorithmic
+paths it is used to verify.  Three grid tools live here too, because only
+tests build with them: the blockwise direct sum, the loop-nilpotency check
+and the closed-open snap of a module's intervals.
 """
 
 from __future__ import annotations
@@ -587,6 +588,94 @@ def frozen_bottleneck_quotient(a, b) -> tuple[Ext, PartialMatching]:
         [p.persistence / 2 for p in a.points],
         [q.persistence / 2 for q in b.points],
     )
+
+
+# -- the threshold bisection, frozen as the reference ------------------------
+#
+# The search of the integer kernel's `solve_bottleneck` as it was before the
+# threshold ascent replaced it: bisect the sorted set of every table entry
+# and 0, decide each probe with two one-sided Kuhn covers from an empty
+# matching (Mendelsohn-Dulmage), and build the witness from the two covers
+# at the optimum.  The library must return the same value (type included)
+# and the same witness.
+
+
+def _frozen_kuhn_matching(roots, n_right: int, adjacency) -> list[int] | None:
+    match_right = [-1] * n_right
+    for root in roots:
+        seen = [False] * n_right
+        stack = [(root, iter(adjacency[root]))]
+        through: list[int] = []
+        while stack:
+            for v in stack[-1][1]:
+                if not seen[v]:
+                    break
+            else:
+                stack.pop()
+                if through:
+                    through.pop()
+                continue
+            seen[v] = True
+            through.append(v)
+            if match_right[v] == -1:
+                for (u, _), w in zip(stack, through):
+                    match_right[w] = u
+                break
+            stack.append((match_right[v], iter(adjacency[match_right[v]])))
+        else:
+            return None
+    return match_right
+
+
+def _frozen_covers(rows, diag, n_right: int, t) -> list[int] | None:
+    must = [i for i, d in enumerate(diag) if d > t]
+    adjacency = {i: [j for j, c in enumerate(rows[i]) if c <= t] for i in must}
+    return _frozen_kuhn_matching(must, n_right, adjacency)
+
+
+def _frozen_feasible(pair_costs, columns, diag_a, diag_b, t) -> bool:
+    return _frozen_covers(pair_costs, diag_a, len(diag_b), t) is not None and (
+        _frozen_covers(columns, diag_b, len(diag_a), t) is not None
+    )
+
+
+def _frozen_witness(pair_costs, columns, diag_a, diag_b, t) -> PartialMatching:
+    n_a = len(diag_a)
+    n_b = len(diag_b)
+    b_to_a = _frozen_covers(pair_costs, diag_a, n_b, t)
+    a_to_b = [-1] * n_a
+    for j, i in enumerate(b_to_a):
+        if i != -1:
+            a_to_b[i] = j
+    cover_b = {j: i for i, j in enumerate(_frozen_covers(columns, diag_b, n_a, t)) if j != -1}
+    for j in range(n_b):
+        while j != -1 and b_to_a[j] == -1 and j in cover_b:
+            i = cover_b[j]
+            b_to_a[j], a_to_b[i], j = i, j, a_to_b[i]
+            if j != -1:
+                b_to_a[j] = -1
+    for i in range(n_a):
+        if a_to_b[i] == -1:
+            for j in range(n_b):
+                if b_to_a[j] == -1 and pair_costs[i][j] <= t:
+                    a_to_b[i], b_to_a[j] = j, i
+                    break
+    return PartialMatching.from_pairs(((i, j) for i, j in enumerate(a_to_b) if j != -1), n_a, n_b)
+
+
+def frozen_threshold_bisection(pair_costs, diag_a, diag_b) -> tuple[int | float, PartialMatching]:
+    candidates = {0, *diag_a, *diag_b}
+    for row in pair_costs:
+        candidates.update(row)
+    ordered = sorted(candidates)
+    columns = [[row[j] for row in pair_costs] for j in range(len(diag_b))]
+    lo = bisect.bisect_left(
+        ordered,
+        True,
+        hi=len(ordered) - 1,
+        key=lambda t: _frozen_feasible(pair_costs, columns, diag_a, diag_b, t),
+    )
+    return ordered[lo], _frozen_witness(pair_costs, columns, diag_a, diag_b, ordered[lo])
 
 
 # -- the decimal writer, frozen as the reference -----------------------------

@@ -4,8 +4,10 @@
 type included (a `Fraction`, or INF), as the doubled-graph search on
 `Fraction` cost tables frozen in `oracles`.  Their witness must cost exactly
 that value, match every point whose unmatched cost exceeds it, and leave no
-unmatched pair within it.  The Mendelsohn-Dulmage threshold test must agree
-with the frozen doubled graph at every candidate threshold.
+unmatched pair within it.  On raw integer tables, `solve_bottleneck` must
+return the value and witness of the threshold bisection it replaced, and
+every candidate threshold at or above its value, and none below, must
+admit a perfect matching of the frozen doubled graph.
 """
 
 from __future__ import annotations
@@ -28,13 +30,14 @@ from circlepers import (
     matching_cost_quotient,
     quotient_linf,
 )
-from circlepers.metric_plane import _feasible
+from circlepers.metric_plane import solve_bottleneck
 from oracles import (
     frozen_bottleneck_plane,
     frozen_bottleneck_quotient,
     frozen_linf,
     frozen_matching_at,
     frozen_quotient_linf,
+    frozen_threshold_bisection,
 )
 
 F = Fraction
@@ -184,23 +187,41 @@ class TestAgainstFrozenFractionKernel:
                         assert value == expected
 
 
+def _random_table(rng: random.Random, max_points: int, max_cost: int):
+    """A cost table and two unmatched-cost lists, about 10% of entries INF."""
+    n_a, n_b = rng.randint(0, max_points), rng.randint(0, max_points)
+
+    def cost():
+        return INF if rng.random() < 0.1 else rng.randint(0, max_cost)
+
+    pair_costs = [[cost() for _ in range(n_b)] for _ in range(n_a)]
+    return pair_costs, [cost() for _ in range(n_a)], [cost() for _ in range(n_b)]
+
+
 class TestMendelsohnDulmage:
     def test_feasibility_equals_the_doubled_graph_at_every_candidate(self):
         rng = random.Random(11)
         infeasible = 0
         for _ in range(1500):
-            n_a, n_b = rng.randint(0, 6), rng.randint(0, 6)
-
-            def cost():
-                return INF if rng.random() < 0.1 else rng.randint(0, 8)
-
-            pair_costs = [[cost() for _ in range(n_b)] for _ in range(n_a)]
-            diag_a = [cost() for _ in range(n_a)]
-            diag_b = [cost() for _ in range(n_b)]
-            columns = [[row[j] for row in pair_costs] for j in range(n_b)]
+            pair_costs, diag_a, diag_b = _random_table(rng, 6, 8)
+            value = solve_bottleneck(pair_costs, diag_a, diag_b).value
             candidates = {0, *diag_a, *diag_b, *(c for row in pair_costs for c in row)}
             for t in sorted(candidates):
-                md = _feasible(pair_costs, columns, diag_a, diag_b, t)
-                assert md == (frozen_matching_at(pair_costs, diag_a, diag_b, t) is not None)
-                infeasible += not md
+                feasible = t >= value
+                assert feasible == (frozen_matching_at(pair_costs, diag_a, diag_b, t) is not None)
+                infeasible += not feasible
         assert infeasible > 1000
+
+
+class TestAgainstTheFrozenBisection:
+    def test_same_value_and_witness_on_random_tables(self):
+        # ties and INF entries make many thresholds where one cover exists
+        # and the other does not, and many witnesses among optimal ones
+        rng = random.Random(2031)
+        for _ in range(3000):
+            pair_costs, diag_a, diag_b = _random_table(rng, 9, 12)
+            value, witness = solve_bottleneck(pair_costs, diag_a, diag_b)
+            expected, expected_witness = frozen_threshold_bisection(pair_costs, diag_a, diag_b)
+            assert type(value) is type(expected)
+            assert value == expected
+            assert witness == expected_witness

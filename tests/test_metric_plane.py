@@ -168,19 +168,28 @@ class TestBottleneckPlane:
         assert first.witness == second.witness
 
     def test_long_augmenting_chain_needs_no_recursion(self):
-        # A_i is 1/2 from B_i and B_{i-1}; the half persistences are far larger,
-        # so the optimum matches A_i to B_i and the search walks long chains
-        n = 300
-        a = Diagram(tuple(PlanePoint(F(i), F(i + 10**4)) for i in range(n)))
-        b = Diagram(tuple(PlanePoint(F(2 * i + 1, 2), F(2 * i + 1, 2) + 10**4) for i in range(n)))
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(len(inspect.stack()) + 100)
-        try:
-            value, witness = bottleneck_plane(a, b)
-        finally:
-            sys.setrecursionlimit(limit)
-        assert value == F(1, 2)
-        assert matching_cost(a, b, witness) == value
+        _assert_chain_solved(300)
+
+    def test_the_long_chain_at_1100_points(self):
+        # the size that took the threshold bisection about 20 s, rebuilding
+        # both covers from empty at every probe
+        _assert_chain_solved(1100)
+
+
+def _assert_chain_solved(n: int) -> None:
+    """A_i is 1/2 from B_i and B_{i-1}; the half persistences are far larger,
+    so the optimum matches A_i to B_i and the witness's covers walk long
+    chains, with almost no recursion allowed."""
+    a = Diagram(tuple(PlanePoint(F(i), F(i + 10**4)) for i in range(n)))
+    b = Diagram(tuple(PlanePoint(F(2 * i + 1, 2), F(2 * i + 1, 2) + 10**4) for i in range(n)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        value, witness = bottleneck_plane(a, b)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert value == F(1, 2)
+    assert matching_cost(a, b, witness) == value
 
 
 def _half_line_module(rng: random.Random, n: int, random_kinds: bool = False) -> LineModule:
