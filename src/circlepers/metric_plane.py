@@ -148,56 +148,13 @@ def _pair_cost(x: Cost, y: Cost, u: Cost, v: Cost) -> Cost:
     return 2 * max(0 if x == u else abs(x - u), 0 if y == v else abs(y - v))
 
 
-def _kuhn_matching(roots, n_right: int, adjacency) -> list[int] | None:
-    """Kuhn's augmenting-path matching of *roots* into the right side.
-
-    Returns right -> left (-1 where unmatched), or None as soon as a root
-    cannot be matched.  Deterministic: roots are processed in the given
-    order and ``adjacency[u]`` is tried in its order, depth first.  The
-    search keeps an explicit stack, so long augmenting paths need no
-    recursion.
-    """
-    match_right = [-1] * n_right
-    for root in roots:
-        seen = [False] * n_right
-        # stack[d] is a left vertex with its remaining edges; through[d] is
-        # the right vertex by which stack[d] reached stack[d + 1]
-        stack = [(root, iter(adjacency[root]))]
-        through: list[int] = []
-        while stack:
-            for v in stack[-1][1]:
-                if not seen[v]:
-                    break
-            else:
-                stack.pop()
-                if through:
-                    through.pop()
-                continue
-            seen[v] = True
-            through.append(v)
-            if match_right[v] == -1:
-                for (u, _), w in zip(stack, through):
-                    match_right[w] = u
-                break
-            stack.append((match_right[v], iter(adjacency[match_right[v]])))
-        else:
-            return None
-    return match_right
-
-
-def _covers(rows: list[list[Cost]], diag: list[Cost], n_right: int, t: Cost) -> list[int] | None:
-    """A matching, right -> left or None, of the points of unmatched cost > t
-    into the other diagram along pairs of cost <= t (row i holds point i's
-    costs; roots in index order, their candidates ascending)."""
-    must = [i for i, d in enumerate(diag) if d > t]
-    adjacency = {i: [j for j, c in enumerate(rows[i]) if c <= t] for i in must}
-    return _kuhn_matching(must, n_right, adjacency)
-
-
-def _least_cover(rows: list[list[Cost]], diag: list[Cost], n_right: int, t: Cost) -> Cost:
+def _least_cover(
+    rows: list[list[Cost]], diag: list[Cost], n_right: int, t: Cost
+) -> tuple[Cost, list[int]]:
     """The least threshold >= t at which the points of unmatched cost above
     it can be matched into the right side along entries within it (row i
-    holds point i's costs).
+    holds point i's costs), and such a matching, right -> left (-1 where
+    unmatched): the one the ascent ends with.
 
     One ascent keeps its matching as the threshold rises.  Roots are taken
     in index order; a root of unmatched cost > t searches, breadth first,
@@ -207,7 +164,10 @@ def _least_cover(rows: list[list[Cost]], diag: list[Cost], n_right: int, t: Cost
     reaches left points whose unmatched costs all exceed t and whose
     neighbours within t are fewer than they are, so no matching exists
     below the least unmatched cost among them or the least entry from them
-    to a right point they did not reach; t moves to that value.
+    to a right point they did not reach; t moves to that value.  A pair is
+    within the t at which it is made, and a point gives up its partner only
+    when its unmatched cost is within t, so the matching returned is a
+    cover at the final threshold.
     """
     match_right = [-1] * n_right
     # order[u]: the right points by ascending cost from left point u (ties by
@@ -258,14 +218,16 @@ def _least_cover(rows: list[list[Cost]], diag: list[Cost], n_right: int, t: Cost
                     match_right[end] = u
                     end = entered[u]
                 break
-    return t
+    return t, match_right
 
 
-def _witness(pair_costs, columns, diag_a, diag_b, t: Cost) -> PartialMatching:
-    """The witness at a feasible t, built from the two covers `_covers` finds.
+def _witness(pair_costs, b_to_a: list[int], c_right: list[int], t: Cost) -> PartialMatching:
+    """The witness at the optimum t, built from the two ascents' matchings.
 
-    1. M is the cover of A's points of unmatched cost > t into B.
-    2. C is the cover of B's such points into A.
+    1. M, ``b_to_a`` (B point -> A point), is A's ascent's matching: it
+       matches A's points of unmatched cost > t into B within t.
+    2. C, ``c_right`` (A point -> B point), is B's ascent's matching: it
+       matches B's such points into A within t.
     3. Walk the B points j in ascending order.  If M leaves j uncovered and
        C pairs j with an A point i, give j to i in M; the B point that i
        gives up continues the walk.
@@ -274,14 +236,13 @@ def _witness(pair_costs, columns, diag_a, diag_b, t: Cost) -> PartialMatching:
     The result costs <= t, covers every point of unmatched cost > t, and
     leaves no unmatched pair within t.
     """
-    n_a = len(diag_a)
-    n_b = len(diag_b)
-    b_to_a = _covers(pair_costs, diag_a, n_b, t)
+    n_a = len(c_right)
+    n_b = len(b_to_a)
     a_to_b = [-1] * n_a
     for j, i in enumerate(b_to_a):
         if i != -1:
             a_to_b[i] = j
-    cover_b = {j: i for i, j in enumerate(_covers(columns, diag_b, n_a, t)) if j != -1}
+    cover_b = {j: i for i, j in enumerate(c_right) if j != -1}
     for j in range(n_b):
         while j != -1 and b_to_a[j] == -1 and j in cover_b:
             i = cover_b[j]
@@ -309,13 +270,14 @@ def solve_bottleneck(
     unmatched cost > t and another covers B's (Mendelsohn-Dulmage: the two
     combine into one).  Each cover only gets easier as t grows, so the
     optimum is the larger of the two least thresholds; `_least_cover` finds
-    A's from 0 and then B's from A's.  `_witness` builds the witness at the
-    optimum from two covers found afresh.
+    A's from 0 and then B's from A's.  A's matching is within A's threshold
+    and still covers A's points above the optimum, so `_witness` builds the
+    witness from the two matchings the ascents end with.
     """
     columns = [[row[j] for row in pair_costs] for j in range(len(diag_b))]
-    t = _least_cover(pair_costs, diag_a, len(diag_b), 0)
-    t = _least_cover(columns, diag_b, len(diag_a), t)
-    return BottleneckResult(t, _witness(pair_costs, columns, diag_a, diag_b, t))
+    t, b_to_a = _least_cover(pair_costs, diag_a, len(diag_b), 0)
+    t, c_right = _least_cover(columns, diag_b, len(diag_a), t)
+    return BottleneckResult(t, _witness(pair_costs, b_to_a, c_right, t))
 
 
 def bottleneck_plane(a: Diagram, b: Diagram) -> BottleneckResult:

@@ -595,9 +595,8 @@ def frozen_bottleneck_quotient(a, b) -> tuple[Ext, PartialMatching]:
 # The search of the integer kernel's `solve_bottleneck` as it was before the
 # threshold ascent replaced it: bisect the sorted set of every table entry
 # and 0, decide each probe with two one-sided Kuhn covers from an empty
-# matching (Mendelsohn-Dulmage), and build the witness from the two covers
-# at the optimum.  The library must return the same value (type included)
-# and the same witness.
+# matching (Mendelsohn-Dulmage).  The library must return the same value
+# (type included); its witness is checked as a certificate on the table.
 
 
 def _frozen_kuhn_matching(roots, n_right: int, adjacency) -> list[int] | None:
@@ -639,31 +638,7 @@ def _frozen_feasible(pair_costs, columns, diag_a, diag_b, t) -> bool:
     )
 
 
-def _frozen_witness(pair_costs, columns, diag_a, diag_b, t) -> PartialMatching:
-    n_a = len(diag_a)
-    n_b = len(diag_b)
-    b_to_a = _frozen_covers(pair_costs, diag_a, n_b, t)
-    a_to_b = [-1] * n_a
-    for j, i in enumerate(b_to_a):
-        if i != -1:
-            a_to_b[i] = j
-    cover_b = {j: i for i, j in enumerate(_frozen_covers(columns, diag_b, n_a, t)) if j != -1}
-    for j in range(n_b):
-        while j != -1 and b_to_a[j] == -1 and j in cover_b:
-            i = cover_b[j]
-            b_to_a[j], a_to_b[i], j = i, j, a_to_b[i]
-            if j != -1:
-                b_to_a[j] = -1
-    for i in range(n_a):
-        if a_to_b[i] == -1:
-            for j in range(n_b):
-                if b_to_a[j] == -1 and pair_costs[i][j] <= t:
-                    a_to_b[i], b_to_a[j] = j, i
-                    break
-    return PartialMatching.from_pairs(((i, j) for i, j in enumerate(a_to_b) if j != -1), n_a, n_b)
-
-
-def frozen_threshold_bisection(pair_costs, diag_a, diag_b) -> tuple[int | float, PartialMatching]:
+def frozen_threshold_bisection(pair_costs, diag_a, diag_b) -> int | float:
     candidates = {0, *diag_a, *diag_b}
     for row in pair_costs:
         candidates.update(row)
@@ -675,7 +650,7 @@ def frozen_threshold_bisection(pair_costs, diag_a, diag_b) -> tuple[int | float,
         hi=len(ordered) - 1,
         key=lambda t: _frozen_feasible(pair_costs, columns, diag_a, diag_b, t),
     )
-    return ordered[lo], _frozen_witness(pair_costs, columns, diag_a, diag_b, ordered[lo])
+    return ordered[lo]
 
 
 # -- the decimal writer, frozen as the reference -----------------------------

@@ -5,9 +5,10 @@ type included (a `Fraction`, or INF), as the doubled-graph search on
 `Fraction` cost tables frozen in `oracles`.  Their witness must cost exactly
 that value, match every point whose unmatched cost exceeds it, and leave no
 unmatched pair within it.  On raw integer tables, `solve_bottleneck` must
-return the value and witness of the threshold bisection it replaced, and
-every candidate threshold at or above its value, and none below, must
-admit a perfect matching of the frozen doubled graph.
+return the value of the threshold bisection it replaced with a witness that
+certifies it on the table, each side's ascent must end holding a cover
+within its threshold, and every candidate threshold at or above the value,
+and none below, must admit a perfect matching of the frozen doubled graph.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from circlepers import (
     INF,
     NEG_INF,
     Diagram,
+    PartialMatching,
     PlanePoint,
     QuotientDiagram,
     QuotientPoint,
@@ -30,7 +32,7 @@ from circlepers import (
     matching_cost_quotient,
     quotient_linf,
 )
-from circlepers.metric_plane import solve_bottleneck
+from circlepers.metric_plane import _least_cover, solve_bottleneck
 from oracles import (
     frozen_bottleneck_plane,
     frozen_bottleneck_quotient,
@@ -213,6 +215,35 @@ class TestMendelsohnDulmage:
         assert infeasible > 1000
 
 
+def _assert_table_certificate(pair_costs, diag_a, diag_b, value, witness):
+    """*witness* is a matching of the table whose largest pair or unmatched
+    cost is *value*, that matches every point of unmatched cost above it and
+    leaves no unmatched pair within it."""
+    assert isinstance(witness, PartialMatching)
+    witness.validate_for(len(diag_a), len(diag_b))
+    cost = max(
+        [0]
+        + [pair_costs[i][j] for i, j in witness.pairs]
+        + [diag_a[i] for i in witness.unmatched_a]
+        + [diag_b[j] for j in witness.unmatched_b]
+    )
+    assert type(cost) is type(value)
+    assert cost == value
+    assert all(diag_a[i] <= value for i in witness.unmatched_a)
+    assert all(diag_b[j] <= value for j in witness.unmatched_b)
+    assert not any(pair_costs[i][j] <= value for i in witness.unmatched_a for j in witness.unmatched_b)
+
+
+def _assert_cover(rows, diag, match_right, t):
+    """*match_right* (right -> left, -1 where unmatched) is injective, uses
+    only entries within t and matches every left point of unmatched cost
+    above t."""
+    matched = [u for u in match_right if u != -1]
+    assert len(matched) == len(set(matched))
+    assert all(rows[u][v] <= t for v, u in enumerate(match_right) if u != -1)
+    assert all(u in matched for u, d in enumerate(diag) if d > t)
+
+
 class TestAgainstTheFrozenBisection:
     def test_same_value_and_witness_on_random_tables(self):
         # ties and INF entries make many thresholds where one cover exists
@@ -221,7 +252,16 @@ class TestAgainstTheFrozenBisection:
         for _ in range(3000):
             pair_costs, diag_a, diag_b = _random_table(rng, 9, 12)
             value, witness = solve_bottleneck(pair_costs, diag_a, diag_b)
-            expected, expected_witness = frozen_threshold_bisection(pair_costs, diag_a, diag_b)
+            expected = frozen_threshold_bisection(pair_costs, diag_a, diag_b)
             assert type(value) is type(expected)
             assert value == expected
-            assert witness == expected_witness
+            _assert_table_certificate(pair_costs, diag_a, diag_b, value, witness)
+            # the two matchings the witness starts from
+            columns = [[row[j] for row in pair_costs] for j in range(len(diag_b))]
+            t_a, b_to_a = _least_cover(pair_costs, diag_a, len(diag_b), 0)
+            assert len(b_to_a) == len(diag_b)
+            _assert_cover(pair_costs, diag_a, b_to_a, t_a)
+            t, c_right = _least_cover(columns, diag_b, len(diag_a), t_a)
+            assert len(c_right) == len(diag_a)
+            _assert_cover(columns, diag_b, c_right, t)
+            assert t == value
