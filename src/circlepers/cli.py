@@ -40,9 +40,9 @@ def random_circle_module(rng: random.Random, grid: int) -> CircleModule:
     count = rng.randint(0, 3)
     intervals = []
     for _ in range(count):
-        start = Fraction(rng.randrange(grid), grid)
-        length = Fraction(rng.randint(1, grid), grid)
-        intervals.append(CircleInterval(start, start + length, CLOSED, OPEN))
+        start = rng.randrange(grid)
+        length = rng.randint(1, grid)
+        intervals.append(CircleInterval(Fraction(start, grid), Fraction(start + length, grid), CLOSED, OPEN))
     return CircleModule(tuple(intervals))
 
 

@@ -80,15 +80,15 @@ def to_grid(m: CircleModule, n: int) -> GridModule:
     """
     if n < 2:
         raise ValueError("grid resolution must be at least 2")
-    for ival in m.intervals:
-        for endpoint in (ival.lo, ival.hi):
-            if (endpoint * n).denominator != 1:
-                raise ValueError(f"interval endpoint {shown(endpoint)} is not a multiple of 1/{n}")
-
     fibers = [[] for _ in range(n)]
     column = {}  # (interval, position) -> its index in the fiber at position mod N
     for idx, ival in enumerate(m.intervals):
-        for p in _members(ival.lo * n, ival.hi * n, ival.lo_kind, ival.hi_kind):
+        scaled = []
+        for endpoint in (ival.lo, ival.hi):
+            if n % endpoint.denominator:
+                raise ValueError(f"interval endpoint {shown(endpoint)} is not a multiple of 1/{n}")
+            scaled.append(endpoint.numerator * (n // endpoint.denominator))
+        for p in _members(*scaled, ival.lo_kind, ival.hi_kind):
             fiber = fibers[p % n]
             column[idx, p] = len(fiber)
             fiber.append((idx, p))

@@ -216,6 +216,27 @@ def _first_pair(v: GridModule, w: GridModule, s: int, plan_a, basis_a, plan_b, b
     return None
 
 
+def _rank_exceeds_room(v: GridModule, w: GridModule, s: int) -> bool:
+    """Whether some 2s-step composite of v has rank above the fiber of w at its midpoint.
+
+    In an s-interleaving the composite from node j is beta alpha, which
+    factors through w's fiber at node j + s, so its rank is at most that
+    fiber's dimension.  The composite is the block of S_v**(2s) in the rows
+    of node j + 2s, and those rows hold bits in node j's columns only.  A
+    block with fewer rows or columns than the room needs no elimination.
+    """
+    n = v.resolution
+    offsets, rows = v.offsets, v.even_power(s).rows
+    for j in range(n):
+        t = (j + 2 * s) % n
+        room = w.dims[(j + s) % n]
+        if min(v.dims[j], v.dims[t]) > room:
+            block = Matrix(rows[offsets[t]:offsets[t + 1]], offsets[n])
+            if len(gf2.rref(block)[1]) > room:
+                return True
+    return False
+
+
 def feasible_interleaving(
     v: GridModule, w: GridModule, shift_steps: int, budget: int = DEFAULT_BUDGET
 ) -> FeasibilityResult:
@@ -243,6 +264,14 @@ def feasible_interleaving(
     The scan settles only what the hom spaces leave open.  When one of them
     is zero, every pair has a zero side, so the shift is feasible exactly
     when both 2s-step composites vanish, with the zero pair as witness.
+    Otherwise a rank bound refutes what it can before any scan: the 2s-step
+    composite of v from node j is beta alpha, which factors through w's
+    fiber at node j + s, so its rank is at most that fiber's dimension; the
+    same holds with v and w swapped, and one node above its bound makes the
+    shift infeasible.  The bound only refutes shifts no pair can pass, and
+    the budget is checked before it, so the flags, witnesses and refusals
+    are those of the scan alone.
+
     And (alpha, beta) interleaves v and w exactly when (beta, alpha)
     interleaves w and v, so when w -> v has the smaller basis its scan
     decides the flag first; the forward scan then runs only to find the
@@ -265,6 +294,8 @@ def feasible_interleaving(
 
     if not (d_a and d_b):
         pair = None if any(v.even_power(s).rows) or any(w.even_power(s).rows) else (0, 0)
+    elif _rank_exceeds_room(v, w, s) or _rank_exceeds_room(w, v, s):
+        pair = None
     elif d_b < d_a and _first_pair(w, v, s, plan_b, basis_b, plan_a, basis_a) is None:
         pair = None
     else:

@@ -238,13 +238,22 @@ def read_quotient_diagram(text: str, canonicalize: bool = True) -> QuotientDiagr
 def _write_points(points, fmt: str) -> str:
     # the points are sorted, so equal points are adjacent: one line per run;
     # b is compared first, since neighbours in sorted order often share a
+    texts = {}  # each distinct value's text, keyed by its int pair or its infinity
+
+    def text(x: Ext) -> str:
+        key = (x.numerator, x.denominator) if is_finite(x) else x
+        out = texts.get(key)
+        if out is None:
+            out = texts[key] = format_number(x)
+        return out
+
     lines = []
     run = 0
     for point, following in zip(points, points[1:] + (None,)):
         run += 1
         if following is not None and following.b == point.b and following.a == point.a:
             continue
-        values = (format_number(point.a), format_number(point.b), run)
+        values = (text(point.a), text(point.b), run)
         run = 0
         if fmt == "json-lines":
             lines.append(json.dumps(dict(zip(_POINT_FIELDS, values))))

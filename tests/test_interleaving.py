@@ -407,6 +407,113 @@ class TestScanShortcuts:
         assert checked >= 40 and saved >= 300, (checked, saved)
 
 
+def random_invertible(rng, d):
+    """A random invertible d x d matrix over GF(2) and its inverse, as arrays.
+
+    Built from random row additions and swaps; each one applied to P on the
+    left is applied to the inverse on the right, so P @ inverse stays I.
+    """
+    p = np.eye(d, dtype=np.uint8)
+    inverse = np.eye(d, dtype=np.uint8)
+    for _ in range(3 * d):
+        i, k = rng.randrange(d), rng.randrange(d)
+        if i == k:
+            continue
+        if rng.random() < 0.25:
+            p[[i, k]] = p[[k, i]]
+            inverse[:, [i, k]] = inverse[:, [k, i]]
+        else:
+            p[i] ^= p[k]  # row i += row k
+            inverse[:, k] ^= inverse[:, i]
+    assert np.array_equal(np_matmul(p, inverse), np.eye(d, dtype=np.uint8))
+    return p, inverse
+
+
+def as_matrix(a):
+    """A uint8 array as a library matrix of the same shape."""
+    return Matrix(tuple(sum(int(bit) << c for c, bit in enumerate(row)) for row in a), a.shape[1])
+
+
+def conjugated(g, rng):
+    """An isomorphic copy of g: a random change of basis at every node."""
+    n = g.resolution
+    changes = [random_invertible(rng, d) for d in g.dims]
+    steps = []
+    for j in range(n):
+        p_next, _ = changes[(j + 1) % n]
+        _, inverse = changes[j]
+        steps.append(as_matrix(np_matmul(np_matmul(p_next, as_array(g.steps[j])), inverse)))
+    return GridModule(n, g.dims, tuple(steps))
+
+
+def rank_bound_refutes(v, w, s):
+    refutes = circlepers.interleaving._rank_exceeds_room
+    return refutes(v, w, s) or refutes(w, v, s)
+
+
+class TestRankBound:
+    """The 2s-composite rank bound refutes only shifts no pair passes.
+
+    Basis changes at every node turn the step maps of `to_grid` modules,
+    which send labels to labels, into dense ones, so the ranks the bound
+    reads are no longer counts of surviving labels.
+    """
+
+    def test_same_flag_and_witnesses_on_conjugated_modules_and_sums(self):
+        rng = random.Random(5151)
+        feasible = refuted = 0
+        for trial in range(90):
+            n = (4, 5, 6)[trial % 3]
+
+            def module():
+                g = to_grid(random_on_grid_module(rng, n, 2, random_kinds=True), n)
+                if trial % 2:
+                    g = direct_sum(g, to_grid(random_on_grid_module(rng, n, 1, random_kinds=True), n))
+                return conjugated(g, rng)
+
+            v, w = module(), module()
+            for s in range(n + 2):
+                result = feasible_interleaving(v, w, s)
+                flag, forward, backward = np_feasible_interleaving(v, w, s)
+                assert result.feasible == flag, (trial, s)
+                if flag:
+                    feasible += 1
+                    assert not rank_bound_refutes(v, w, s), (trial, s)
+                    assert [m.tolist() for m in result.forward.maps] == [m.tolist() for m in forward]
+                    assert [m.tolist() for m in result.backward.maps] == [m.tolist() for m in backward]
+                else:
+                    refuted += rank_bound_refutes(v, w, s)
+        assert feasible >= 400 and refuted >= 140, (feasible, refuted)
+
+    def test_settles_infeasible_shifts_with_two_nonzero_hom_spaces_without_a_scan(self, monkeypatch):
+        class Counting:
+            calls = 0
+
+            def __getattr__(self, name):
+                return getattr(gf2, name)
+
+            def lex_min_solution(self, a, b):
+                self.calls += 1
+                return gf2.lex_min_solution(a, b)
+
+        counting = Counting()
+        monkeypatch.setattr(circlepers.interleaving, "gf2", counting)
+        rng = random.Random(3131)
+        unscanned = 0
+        for trial in range(60):
+            v = to_grid(random_on_grid_module(rng, 8, 3), 8)
+            w = to_grid(random_on_grid_module(rng, 8, 3), 8)
+            for order in ((v, w), (w, v)):
+                for s in range(9):
+                    if not (np_hom_space(*order, s) and np_hom_space(*order[::-1], s)):
+                        continue
+                    counting.calls = 0
+                    if feasible_interleaving(*order, s).feasible:
+                        break
+                    unscanned += counting.calls == 0
+        assert unscanned >= 70, unscanned
+
+
 class TestAgainstLiteralProductScan:
     """Reference implementation of the candidate-product scan.
 
