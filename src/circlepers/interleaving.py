@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul, sub
 from typing import NamedTuple
 
 from . import gf2
@@ -223,7 +224,8 @@ def _rank_exceeds_room(v: GridModule, w: GridModule, s: int) -> bool:
     factors through w's fiber at node j + s, so its rank is at most that
     fiber's dimension.  The composite is the block of S_v**(2s) in the rows
     of node j + 2s, and those rows hold bits in node j's columns only.  A
-    block with fewer rows or columns than the room needs no elimination.
+    block with fewer rows or columns than the room needs no elimination,
+    and against no room at all only a nonzero row counts.
     """
     n = v.resolution
     offsets, rows = v.offsets, v.even_power(s).rows
@@ -231,10 +233,29 @@ def _rank_exceeds_room(v: GridModule, w: GridModule, s: int) -> bool:
         t = (j + 2 * s) % n
         room = w.dims[(j + s) % n]
         if min(v.dims[j], v.dims[t]) > room:
-            block = Matrix(rows[offsets[t]:offsets[t + 1]], offsets[n])
-            if len(gf2.rref(block)[1]) > room:
+            block = rows[offsets[t]:offsets[t + 1]]
+            if not room:
+                if any(block):
+                    return True
+            elif len(gf2.rref(Matrix(block, offsets[n]))[1]) > room:
                 return True
     return False
+
+
+def _hom_bound(v: GridModule, w: GridModule, s: int) -> int:
+    """An upper bound on the dimension of the degree-s morphisms v -> w.
+
+    On the image of the step into node j, a morphism F has F_j S_v = S_w
+    F_{j-1}, so F_{j-1} fixes it there.  So F is fixed by its whole map at
+    one node j0 and, at every other node j, by its values on a complement
+    of that image: with r_j the rank of the step, (dim v_j - r_j) columns
+    of dim w_{j+s} entries.  Taking the best j0 gives the sum below.  It
+    reads no nilpotency, so it holds for any step operator.
+    """
+    k = s % v.resolution
+    room = w.dims[k:] + w.dims[:k]
+    ranks = v._step_ranks
+    return sum(map(mul, map(sub, v.dims, ranks), room)) + min(map(mul, ranks, room))
 
 
 def feasible_interleaving(
@@ -261,16 +282,19 @@ def feasible_interleaving(
     one precomputed block per pair (i, k): both products of basis operators
     i and k, packed over their degree-2s blocks only.
 
-    The scan settles only what the hom spaces leave open.  When one of them
-    is zero, every pair has a zero side, so the shift is feasible exactly
-    when both 2s-step composites vanish, with the zero pair as witness.
-    Otherwise a rank bound refutes what it can before any scan: the 2s-step
-    composite of v from node j is beta alpha, which factors through w's
-    fiber at node j + s, so its rank is at most that fiber's dimension; the
-    same holds with v and w swapped, and one node above its bound makes the
-    shift infeasible.  The bound only refutes shifts no pair can pass, and
-    the budget is checked before it, so the flags, witnesses and refusals
-    are those of the scan alone.
+    The scan settles only what cheaper tests leave open.  A rank bound
+    refutes what it can: the 2s-step composite of v from node j is beta
+    alpha, which factors through w's fiber at node j + s, so its rank is at
+    most that fiber's dimension; the same holds with v and w swapped, and
+    one node above its bound makes the shift infeasible.  It runs before
+    either hom space is solved wherever `_hom_bound`, an upper bound on
+    each hom dimension, shows that 2**(d_a + d_b) is within the budget;
+    elsewhere it runs after the budget check.  Either way it refutes only
+    shifts no pair can pass, and only where the budget would not refuse
+    them, so the flags, witnesses and refusals are those of the scan alone.
+    When one hom space is zero, every pair has a zero side, so the shift is
+    feasible exactly when both 2s-step composites vanish, with the zero
+    pair as witness.
 
     And (alpha, beta) interleaves v and w exactly when (beta, alpha)
     interleaves w and v, so when w -> v has the smaller basis its scan
@@ -283,6 +307,10 @@ def feasible_interleaving(
         raise ValueError("shift must be nonnegative")
     s = shift_steps
 
+    # where the budget cannot refuse the shift, the rank bound goes first
+    bound_first = 1 << (_hom_bound(v, w, s) + _hom_bound(w, v, s)) <= budget
+    if bound_first and (_rank_exceeds_room(v, w, s) or _rank_exceeds_room(w, v, s)):
+        return FeasibilityResult(False, None, None)
     plan_a, basis_a = _hom_space(v, w, s)
     plan_b, basis_b = _hom_space(w, v, s)
     d_a = len(basis_a)
@@ -294,7 +322,7 @@ def feasible_interleaving(
 
     if not (d_a and d_b):
         pair = None if any(v.even_power(s).rows) or any(w.even_power(s).rows) else (0, 0)
-    elif _rank_exceeds_room(v, w, s) or _rank_exceeds_room(w, v, s):
+    elif not bound_first and (_rank_exceeds_room(v, w, s) or _rank_exceeds_room(w, v, s)):
         pair = None
     elif d_b < d_a and _first_pair(w, v, s, plan_b, basis_b, plan_a, basis_a) is None:
         pair = None

@@ -17,8 +17,6 @@ from fractions import Fraction
 from .metric_plane import Diagram, PlanePoint
 from .metric_quotient import QuotientDiagram, QuotientPoint
 from .rationals import (
-    NEG_INF,
-    INF,
     Ext,
     as_ext,
     as_fraction,
@@ -67,7 +65,7 @@ class LineInterval:
         object.__setattr__(self, "hi", as_ext(self.hi))
         if self.lo > self.hi:
             raise ValueError(f"interval endpoints out of order: {shown(self.lo)} > {shown(self.hi)}")
-        if self.lo == INF or self.hi == NEG_INF:
+        if (not is_finite(self.lo) and self.lo > 0) or (not is_finite(self.hi) and self.hi < 0):
             raise ValueError("interval cannot sit at a single infinity")
         if not is_finite(self.lo) and self.lo_kind is not OPEN:
             raise ValueError("an infinite endpoint must be open")

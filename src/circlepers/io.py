@@ -14,6 +14,7 @@ malformed value is a `ParseError` that names its line.
 from __future__ import annotations
 
 import json
+from itertools import groupby
 from typing import Iterator
 
 from .intervals import (
@@ -237,7 +238,7 @@ def read_quotient_diagram(text: str, canonicalize: bool = True) -> QuotientDiagr
 
 def _write_points(points, fmt: str) -> str:
     # the points are sorted, so equal points are adjacent: one line per run;
-    # b is compared first, since neighbours in sorted order often share a
+    # the format is exact and canonical, so equal texts mean equal values
     texts = {}  # each distinct value's text, keyed by its int pair or its infinity
 
     def text(x: Ext) -> str:
@@ -248,13 +249,8 @@ def _write_points(points, fmt: str) -> str:
         return out
 
     lines = []
-    run = 0
-    for point, following in zip(points, points[1:] + (None,)):
-        run += 1
-        if following is not None and following.b == point.b and following.a == point.a:
-            continue
-        values = (text(point.a), text(point.b), run)
-        run = 0
+    for (a, b), run in groupby([(text(p.a), text(p.b)) for p in points]):
+        values = (a, b, len(list(run)))
         if fmt == "json-lines":
             lines.append(json.dumps(dict(zip(_POINT_FIELDS, values))))
         else:

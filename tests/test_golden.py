@@ -65,6 +65,10 @@ def _cases() -> dict[str, list[str]]:
     cases["verify-isometry-budget"] = [
         "verify-isometry", "--trials", "4", "--seed", "3", "--budget", "1",
     ]
+    # refuses 7 of 60 trials, so shifts are settled both under and over the budget
+    cases["verify-isometry-budget-64"] = [
+        "verify-isometry", "--trials", "60", "--seed", "11", "--budget", "64",
+    ]
     cases["verify-isometry-zero-trials"] = ["verify-isometry", "--trials", "0"]
     cases["transfer-lift-index-out-of-range"] = [
         "transfer", "lift", "--diagram-a", "quotient_a.txt", "--diagram-b", "quotient_b.txt",

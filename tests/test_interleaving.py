@@ -514,6 +514,120 @@ class TestRankBound:
         assert unscanned >= 70, unscanned
 
 
+def random_steps_module(rng, n, max_dim):
+    """A grid module with uniformly random GF(2) steps, nilpotent or not."""
+    dims = tuple(rng.randint(0, max_dim) for _ in range(n))
+    steps = tuple(
+        Matrix(tuple(rng.randrange(1 << dims[j]) for _ in range(dims[(j + 1) % n])), dims[j])
+        for j in range(n)
+    )
+    return GridModule(n, dims, steps)
+
+
+class TestHomBound:
+    """The hom-dimension bound that lets the rank bound run before either solve.
+
+    A shift is refuted before its hom spaces are solved only when
+    2**(bound_a + bound_b) is within the budget.  So the bound must never be
+    below the true dimension, on any step operator, or a shift the budget
+    refuses could be answered instead.
+    """
+
+    @staticmethod
+    def assert_bounds_hold(v, w, shifts):
+        for s in shifts:
+            for a, b in ((v, w), (w, v)):
+                dim = len(circlepers.interleaving._hom_space(a, b, s)[1])
+                bound = circlepers.interleaving._hom_bound(a, b, s)
+                assert bound >= dim, (s, bound, dim)
+
+    def test_never_below_the_hom_dimension_on_grid_modules_and_conjugated_sums(self):
+        rng = random.Random(2323)
+        for trial in range(120):
+            n = (4, 5, 6, 8)[trial % 4]
+
+            def module():
+                g = to_grid(random_on_grid_module(rng, n, 3, random_kinds=True), n)
+                if trial % 3 == 1:
+                    g = direct_sum(g, to_grid(random_on_grid_module(rng, n, 1, random_kinds=True), n))
+                return conjugated(g, rng) if trial % 3 else g
+
+            self.assert_bounds_hold(module(), module(), range(2 * n + 1))
+
+    def test_never_below_the_hom_dimension_on_loops_and_random_steps(self):
+        loops = [with_loop(*loop) for loop in NON_NILPOTENT_LOOPS]
+        loops += [with_loop(*loop) for loop, _ in NILPOTENT_LOOPS] + [EMPTY_LOOP]
+        for v, w in itertools.product(loops, repeat=2):
+            self.assert_bounds_hold(v, w, range(5))
+        rng = random.Random(4747)
+        for trial in range(200):
+            n = rng.randint(2, 6)
+            v, w = random_steps_module(rng, n, 3), random_steps_module(rng, n, 3)
+            self.assert_bounds_hold(v, w, range(2 * n + 1))
+
+    def test_same_flags_witnesses_and_refusals_at_every_budget(self):
+        # at budget 2**k a shift is refused exactly when d_a + d_b > k; the
+        # refused shifts the rank bound refutes would be answered if the bound
+        # ran first there, and the rest must run it first
+        rng = random.Random(4242)
+        budgets = [1 << k for k in range(21)]
+        refused_refutable = refuted_first = 0
+        for trial in range(90):
+            n = (4, 6, 8)[trial % 3]
+            v = to_grid(random_on_grid_module(rng, n, 3, random_kinds=True), n)
+            w = to_grid(random_on_grid_module(rng, n, 3, random_kinds=True), n)
+            for s in range(n + 2):
+                d = len(np_hom_space(v, w, s)) + len(np_hom_space(w, v, s))
+                flag, forward, backward = np_feasible_interleaving(v, w, s)
+                refutes = rank_bound_refutes(v, w, s)
+                for budget in budgets:
+                    if 1 << d > budget:
+                        refused_refutable += refutes
+                        with pytest.raises(BudgetExceeded):
+                            feasible_interleaving(v, w, s, budget)
+                        continue
+                    result = feasible_interleaving(v, w, s, budget)
+                    assert result.feasible == flag, (trial, s, budget)
+                    if flag:
+                        assert [m.tolist() for m in result.forward.maps] == [m.tolist() for m in forward]
+                        assert [m.tolist() for m in result.backward.maps] == [m.tolist() for m in backward]
+                bounds = circlepers.interleaving._hom_bound(v, w, s) + circlepers.interleaving._hom_bound(w, v, s)
+                refuted_first += refutes and 1 << bounds <= budgets[-1]
+                if flag:
+                    break
+            for budget in budgets:
+                expected = np_bruteforce_distance(v, w, budget)
+                if expected is None:
+                    with pytest.raises(BudgetExceeded):
+                        bruteforce_distance(v, w, budget)
+                else:
+                    assert bruteforce_distance(v, w, budget) == expected, (trial, budget)
+        assert refused_refutable >= 300 and refuted_first >= 150, (refused_refutable, refuted_first)
+
+    def test_settles_infeasible_shifts_with_no_hom_space_solve(self, monkeypatch):
+        solves = 0
+        hom_space = circlepers.interleaving._hom_space
+
+        def counting(*args):
+            nonlocal solves
+            solves += 1
+            return hom_space(*args)
+
+        monkeypatch.setattr(circlepers.interleaving, "_hom_space", counting)
+        rng = random.Random(3131)
+        infeasible = unsolved = 0
+        for trial in range(60):
+            v = to_grid(random_on_grid_module(rng, 8, 3), 8)
+            w = to_grid(random_on_grid_module(rng, 8, 3), 8)
+            for s in range(9):
+                solves = 0
+                if feasible_interleaving(v, w, s).feasible:
+                    break
+                infeasible += 1
+                unsolved += solves == 0
+        assert unsolved >= 130, (unsolved, infeasible)
+
+
 class TestAgainstLiteralProductScan:
     """Reference implementation of the candidate-product scan.
 
