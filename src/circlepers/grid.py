@@ -8,7 +8,6 @@ brute-force interleaving search.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from . import gf2
@@ -20,15 +19,13 @@ from .rationals import shown
 @dataclass(frozen=True, eq=False)
 class GridModule:
     """Node j's fiber is the block of labels from ``offsets[j]`` up to
-    ``offsets[j + 1]``; ``operator`` is the step operator on all D labels,
-    and ``_step_ranks[j]`` is the rank of its block, the step into node j."""
+    ``offsets[j + 1]``; ``operator`` is the step operator on all D labels."""
 
     resolution: int
     dims: tuple[int, ...]
     steps: tuple[Matrix, ...]
     offsets: tuple[int, ...] = field(init=False, repr=False)
     operator: Matrix = field(init=False, repr=False)
-    _step_ranks: tuple[int, ...] = field(init=False, repr=False)
     _even_powers: dict[int, Matrix] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -51,14 +48,7 @@ class GridModule:
                     raise ValueError(f"step matrix at node {j} has row {r} outside its {step.cols} columns")
                 rows[base + r] = row << offsets[j]
         object.__setattr__(self, "offsets", tuple(offsets))
-        operator = Matrix(tuple(rows), offsets[n])
-        # the blocks sit in disjoint rows and columns, so the pivots of one
-        # elimination in node j's columns count the rank of the step into j + 1
-        ranks = [0] * n
-        for c in gf2.rref(operator)[1]:
-            ranks[bisect_right(offsets, c) % n] += 1
-        object.__setattr__(self, "operator", operator)
-        object.__setattr__(self, "_step_ranks", tuple(ranks))
+        object.__setattr__(self, "operator", Matrix(tuple(rows), offsets[n]))
         object.__setattr__(self, "_even_powers", {0: gf2.identity(offsets[n])})
 
     def even_power(self, s: int) -> Matrix:

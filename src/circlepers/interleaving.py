@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul, sub
 from typing import NamedTuple
 
 from . import gf2
@@ -27,7 +26,7 @@ DEFAULT_BUDGET = 1 << 20
 
 
 class BudgetExceeded(RuntimeError):
-    """The filtered candidate space is larger than the configured budget."""
+    """A shift the rank bound leaves open has more candidate pairs than the budget."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,22 +241,6 @@ def _rank_exceeds_room(v: GridModule, w: GridModule, s: int) -> bool:
     return False
 
 
-def _hom_bound(v: GridModule, w: GridModule, s: int) -> int:
-    """An upper bound on the dimension of the degree-s morphisms v -> w.
-
-    On the image of the step into node j, a morphism F has F_j S_v = S_w
-    F_{j-1}, so F_{j-1} fixes it there.  So F is fixed by its whole map at
-    one node j0 and, at every other node j, by its values on a complement
-    of that image: with r_j the rank of the step, (dim v_j - r_j) columns
-    of dim w_{j+s} entries.  Taking the best j0 gives the sum below.  It
-    reads no nilpotency, so it holds for any step operator.
-    """
-    k = s % v.resolution
-    room = w.dims[k:] + w.dims[:k]
-    ranks = v._step_ranks
-    return sum(map(mul, map(sub, v.dims, ranks), room)) + min(map(mul, ranks, room))
-
-
 def feasible_interleaving(
     v: GridModule, w: GridModule, shift_steps: int, budget: int = DEFAULT_BUDGET
 ) -> FeasibilityResult:
@@ -272,8 +255,7 @@ def feasible_interleaving(
     coefficients, so the backward scan collapses to one
     `gf2.lex_min_solution` call: None, or the first backward mask that
     passes, which makes the result exactly the first passing pair of the
-    full product scan.  Instances whose candidate product exceeds *budget*
-    are rejected.
+    full product scan.
 
     Everything is computed on whole-module operators (see above): the
     identities read beta alpha = S_v**(2s) and alpha beta = S_w**(2s).  They
@@ -283,15 +265,13 @@ def feasible_interleaving(
     i and k, packed over their degree-2s blocks only.
 
     The scan settles only what cheaper tests leave open.  A rank bound
-    refutes what it can: the 2s-step composite of v from node j is beta
-    alpha, which factors through w's fiber at node j + s, so its rank is at
-    most that fiber's dimension; the same holds with v and w swapped, and
-    one node above its bound makes the shift infeasible.  It runs before
-    either hom space is solved wherever `_hom_bound`, an upper bound on
-    each hom dimension, shows that 2**(d_a + d_b) is within the budget;
-    elsewhere it runs after the budget check.  Either way it refutes only
-    shifts no pair can pass, and only where the budget would not refuse
-    them, so the flags, witnesses and refusals are those of the scan alone.
+    goes first: the 2s-step composite of v from node j is beta alpha, which
+    factors through w's fiber at node j + s, so its rank is at most that
+    fiber's dimension; the same holds with v and w swapped, and one node
+    above its bound makes the shift infeasible before either hom space is
+    solved.  The budget caps only the scans: a shift the bound leaves open
+    raises `BudgetExceeded` when its candidate product 2**(d_a + d_b)
+    exceeds *budget*, and a shift the bound refutes is never refused.
     When one hom space is zero, every pair has a zero side, so the shift is
     feasible exactly when both 2s-step composites vanish, with the zero
     pair as witness.
@@ -307,9 +287,7 @@ def feasible_interleaving(
         raise ValueError("shift must be nonnegative")
     s = shift_steps
 
-    # where the budget cannot refuse the shift, the rank bound goes first
-    bound_first = 1 << (_hom_bound(v, w, s) + _hom_bound(w, v, s)) <= budget
-    if bound_first and (_rank_exceeds_room(v, w, s) or _rank_exceeds_room(w, v, s)):
+    if _rank_exceeds_room(v, w, s) or _rank_exceeds_room(w, v, s):
         return FeasibilityResult(False, None, None)
     plan_a, basis_a = _hom_space(v, w, s)
     plan_b, basis_b = _hom_space(w, v, s)
@@ -322,8 +300,6 @@ def feasible_interleaving(
 
     if not (d_a and d_b):
         pair = None if any(v.even_power(s).rows) or any(w.even_power(s).rows) else (0, 0)
-    elif not bound_first and (_rank_exceeds_room(v, w, s) or _rank_exceeds_room(w, v, s)):
-        pair = None
     elif d_b < d_a and _first_pair(w, v, s, plan_b, basis_b, plan_a, basis_a) is None:
         pair = None
     else:
@@ -386,8 +362,6 @@ def bruteforce_distance(v: GridModule, w: GridModule, budget: int = DEFAULT_BUDG
     nilpotent, which no interval module gives: that module is named in a
     `ValueError`.
     """
-    if v.resolution != w.resolution:
-        raise ValueError("grid modules must share a resolution")
     n = v.resolution
     limit = max(sum(v.dims), sum(w.dims))
     for s in range(limit + 1):

@@ -321,15 +321,30 @@ def np_feasible_interleaving(v, w, s: int):
     return False, None, None
 
 
+def np_rank_bound_refutes(v, w, s: int) -> bool:
+    """Whether some 2s-step composite of one module has GF(2) rank above the
+    other's fiber at its midpoint, either way round."""
+    n = v.resolution
+    for a, b in ((v, w), (w, v)):
+        steps = [as_array(m) for m in a.steps]
+        for j in range(n):
+            rank = len(np_rref(np_step_composite(steps, a.dims, j, 2 * s))[1])
+            if rank > b.dims[(j + s) % n]:
+                return True
+    return False
+
+
 def np_bruteforce_distance(v, w, budget: int) -> Fraction | None:
     """s/N for the first s whose numpy scan is feasible; None when some shift
-    up to it has a candidate product 2**(d_a + d_b) above *budget*."""
+    up to it that the rank bound does not refute has a candidate product
+    2**(d_a + d_b) above *budget*."""
     s = 0
     while True:
-        if 1 << (len(np_hom_space(v, w, s)) + len(np_hom_space(w, v, s))) > budget:
-            return None
-        if np_feasible_interleaving(v, w, s)[0]:
-            return Fraction(s, v.resolution)
+        if not np_rank_bound_refutes(v, w, s):
+            if 1 << (len(np_hom_space(v, w, s)) + len(np_hom_space(w, v, s))) > budget:
+                return None
+            if np_feasible_interleaving(v, w, s)[0]:
+                return Fraction(s, v.resolution)
         s += 1
 
 

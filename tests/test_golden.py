@@ -65,7 +65,8 @@ def _cases() -> dict[str, list[str]]:
     cases["verify-isometry-budget"] = [
         "verify-isometry", "--trials", "4", "--seed", "3", "--budget", "1",
     ]
-    # refuses 7 of 60 trials, so shifts are settled both under and over the budget
+    # refuses 5 of 60 trials; in trials 24 and 30 the rank bound refutes
+    # shifts whose candidate product is over the budget, so they are answered
     cases["verify-isometry-budget-64"] = [
         "verify-isometry", "--trials", "60", "--seed", "11", "--budget", "64",
     ]

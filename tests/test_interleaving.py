@@ -42,6 +42,7 @@ from oracles import (
     np_hom_space,
     np_matmul,
     np_morphism_shapes,
+    np_rank_bound_refutes,
     np_step_composite,
     scan_translate_basis,
     snapped,
@@ -89,6 +90,48 @@ NILPOTENT_LOOPS = [
     (((0b010, 0b100, 0b000), 3), 3),
 ]
 EMPTY_LOOP = GridModule(2, (0, 0), (Matrix((), 0), Matrix((), 0)))
+
+
+@pytest.fixture
+def lex_min_calls(monkeypatch):
+    """The grid search's `gf2`, with its `lex_min_solution` calls counted in `.calls`."""
+
+    class Counting:
+        calls = 0
+
+        def __getattr__(self, name):
+            return getattr(gf2, name)
+
+        def lex_min_solution(self, a, b):
+            self.calls += 1
+            return gf2.lex_min_solution(a, b)
+
+    counting = Counting()
+    monkeypatch.setattr(circlepers.interleaving, "gf2", counting)
+    return counting
+
+
+@pytest.fixture
+def hom_space_calls(monkeypatch):
+    """The grid search's `_hom_space`, with its calls counted in `.calls`."""
+    hom_space = circlepers.interleaving._hom_space
+
+    class Counting:
+        calls = 0
+
+        def __call__(self, *args):
+            self.calls += 1
+            return hom_space(*args)
+
+    counting = Counting()
+    monkeypatch.setattr(circlepers.interleaving, "_hom_space", counting)
+    return counting
+
+
+def assert_same_witnesses(result, forward, backward):
+    """Both witnesses of *result* equal the numpy oracle's maps, node by node."""
+    assert [m.tolist() for m in result.forward.maps] == [m.tolist() for m in forward]
+    assert [m.tolist() for m in result.backward.maps] == [m.tolist() for m in backward]
 
 
 def vanishes_after(g, count):
@@ -314,8 +357,11 @@ class TestFeasibleInterleaving:
         assert is_interleaving_pair(v, w, result.forward, result.backward)
 
     def test_rejects_mismatched_resolutions(self):
-        with pytest.raises(ValueError):
-            feasible_interleaving(grid_of([], 4), grid_of([], 8), 0)
+        v, w = grid_of([], 4), grid_of([], 8)
+        with pytest.raises(ValueError, match="^grid modules must share a resolution$"):
+            feasible_interleaving(v, w, 0)
+        with pytest.raises(ValueError, match="^grid modules must share a resolution$"):
+            bruteforce_distance(v, w)
 
     def test_rejects_negative_shift(self):
         with pytest.raises(ValueError):
@@ -326,6 +372,18 @@ class TestFeasibleInterleaving:
         v = grid_of([ival, ival, ival])
         with pytest.raises(BudgetExceeded):
             feasible_interleaving(v, v, 0, budget=4)
+
+    def test_budget_never_refuses_a_shift_the_rank_bound_refutes(self):
+        # v -> w and w -> v each have 3 dimensions at shift 0, so 2**6 pairs;
+        # v's identity has rank 3, above w's fiber of 1, so no pair passes
+        ival = CircleInterval(F(0), F(1, 2), CLOSED, OPEN)
+        v, w = grid_of([ival, ival, ival]), grid_of([ival])
+        assert not feasible_interleaving(v, w, 0, budget=1).feasible
+        assert not feasible_interleaving(w, v, 0, budget=1).feasible
+        # at shift 2 every composite of 4 steps vanishes: 2**6 pairs again, unrefuted
+        with pytest.raises(BudgetExceeded):
+            feasible_interleaving(v, w, 2, budget=32)
+        assert feasible_interleaving(v, w, 2, budget=64).feasible
 
     def test_witnesses_check_out_on_randoms(self):
         rng = random.Random(99)
@@ -369,26 +427,13 @@ class TestScanShortcuts:
                 assert result.feasible == flag, (trial, s)
                 if flag:
                     feasible += 1
-                    assert [m.tolist() for m in result.forward.maps] == [m.tolist() for m in forward]
-                    assert [m.tolist() for m in result.backward.maps] == [m.tolist() for m in backward]
+                    assert_same_witnesses(result, forward, backward)
                 else:
                     infeasible += 1
                     one_vanishes += vanishes_after(v, 2 * s) != vanishes_after(w, 2 * s)
         assert feasible >= 400 and infeasible >= 150 and one_vanishes >= 100, (feasible, infeasible, one_vanishes)
 
-    def test_the_smaller_hom_space_decides_an_infeasible_shift(self, monkeypatch):
-        class Counting:
-            calls = 0
-
-            def __getattr__(self, name):
-                return getattr(gf2, name)
-
-            def lex_min_solution(self, a, b):
-                self.calls += 1
-                return gf2.lex_min_solution(a, b)
-
-        counting = Counting()
-        monkeypatch.setattr(circlepers.interleaving, "gf2", counting)
+    def test_the_smaller_hom_space_decides_an_infeasible_shift(self, lex_min_calls):
         rng = random.Random(2020)
         checked = saved = 0
         for trial in range(150):
@@ -398,12 +443,12 @@ class TestScanShortcuts:
                 d_a, d_b = len(np_hom_space(v, w, s)), len(np_hom_space(w, v, s))
                 if not 0 < d_b < d_a:
                     continue
-                counting.calls = 0
+                lex_min_calls.calls = 0
                 if feasible_interleaving(v, w, s).feasible:
                     break
-                assert counting.calls <= 1 << d_b, (trial, s, d_a, d_b)
+                assert lex_min_calls.calls <= 1 << d_b, (trial, s, d_a, d_b)
                 checked += 1
-                saved += (1 << d_a) - counting.calls
+                saved += (1 << d_a) - lex_min_calls.calls
         assert checked >= 40 and saved >= 300, (checked, saved)
 
 
@@ -446,6 +491,16 @@ def conjugated(g, rng):
     return GridModule(n, g.dims, tuple(steps))
 
 
+def random_steps_module(rng, n, max_dim):
+    """A grid module with uniformly random GF(2) steps, nilpotent or not."""
+    dims = tuple(rng.randint(0, max_dim) for _ in range(n))
+    steps = tuple(
+        Matrix(tuple(rng.randrange(1 << dims[j]) for _ in range(dims[(j + 1) % n])), dims[j])
+        for j in range(n)
+    )
+    return GridModule(n, dims, steps)
+
+
 def rank_bound_refutes(v, w, s):
     refutes = circlepers.interleaving._rank_exceeds_room
     return refutes(v, w, s) or refutes(w, v, s)
@@ -479,25 +534,12 @@ class TestRankBound:
                 if flag:
                     feasible += 1
                     assert not rank_bound_refutes(v, w, s), (trial, s)
-                    assert [m.tolist() for m in result.forward.maps] == [m.tolist() for m in forward]
-                    assert [m.tolist() for m in result.backward.maps] == [m.tolist() for m in backward]
+                    assert_same_witnesses(result, forward, backward)
                 else:
                     refuted += rank_bound_refutes(v, w, s)
         assert feasible >= 400 and refuted >= 140, (feasible, refuted)
 
-    def test_settles_infeasible_shifts_with_two_nonzero_hom_spaces_without_a_scan(self, monkeypatch):
-        class Counting:
-            calls = 0
-
-            def __getattr__(self, name):
-                return getattr(gf2, name)
-
-            def lex_min_solution(self, a, b):
-                self.calls += 1
-                return gf2.lex_min_solution(a, b)
-
-        counting = Counting()
-        monkeypatch.setattr(circlepers.interleaving, "gf2", counting)
+    def test_settles_infeasible_shifts_with_two_nonzero_hom_spaces_without_a_scan(self, lex_min_calls):
         rng = random.Random(3131)
         unscanned = 0
         for trial in range(60):
@@ -507,92 +549,78 @@ class TestRankBound:
                 for s in range(9):
                     if not (np_hom_space(*order, s) and np_hom_space(*order[::-1], s)):
                         continue
-                    counting.calls = 0
+                    lex_min_calls.calls = 0
                     if feasible_interleaving(*order, s).feasible:
                         break
-                    unscanned += counting.calls == 0
+                    unscanned += lex_min_calls.calls == 0
         assert unscanned >= 70, unscanned
 
+    def test_equals_the_numpy_rank_bound(self):
+        # the bound decides which shifts the budget may refuse, so its value is
+        # pinned exactly, on step operators nilpotent or not
+        loops = [with_loop(*loop) for loop in NON_NILPOTENT_LOOPS]
+        loops += [with_loop(*loop) for loop, _ in NILPOTENT_LOOPS] + [EMPTY_LOOP]
+        pairs = list(itertools.product(loops, repeat=2))
+        rng = random.Random(6262)
+        for trial in range(160):
+            n = (2, 3, 4, 6, 8)[trial // 4 % 5]
 
-def random_steps_module(rng, n, max_dim):
-    """A grid module with uniformly random GF(2) steps, nilpotent or not."""
-    dims = tuple(rng.randint(0, max_dim) for _ in range(n))
-    steps = tuple(
-        Matrix(tuple(rng.randrange(1 << dims[j]) for _ in range(dims[(j + 1) % n])), dims[j])
-        for j in range(n)
-    )
-    return GridModule(n, dims, steps)
+            def module():
+                if trial % 4 == 3:
+                    return random_steps_module(rng, n, 3)
+                g = to_grid(random_on_grid_module(rng, n, 3, random_kinds=True), n)
+                if trial % 4 == 2:
+                    g = direct_sum(g, to_grid(random_on_grid_module(rng, n, 1, random_kinds=True), n))
+                return conjugated(g, rng) if trial % 4 else g
+
+            pairs.append((module(), module()))
+        refuted = open_shifts = non_nilpotent = 0
+        for v, w in pairs:
+            non_nilpotent += (not loop_is_nilpotent(v)) + (not loop_is_nilpotent(w))
+            for s in range(2 * v.resolution + 1):
+                expected = np_rank_bound_refutes(v, w, s)
+                assert rank_bound_refutes(v, w, s) == expected, (v, w, s)
+                refuted += expected
+                open_shifts += not expected
+        assert refuted >= 330 and open_shifts >= 1300 and non_nilpotent >= 40, (refuted, open_shifts, non_nilpotent)
 
 
 class TestHomBound:
-    """The hom-dimension bound that lets the rank bound run before either solve.
+    """The budget bounds the hom spaces a scan spans, and nothing else.
 
-    A shift is refuted before its hom spaces are solved only when
-    2**(bound_a + bound_b) is within the budget.  So the bound must never be
-    below the true dimension, on any step operator, or a shift the budget
-    refuses could be answered instead.
+    A shift the rank bound refutes is settled before either hom space is
+    solved, so no budget refuses it; any other shift is refused exactly
+    when its candidate product 2**(d_a + d_b) exceeds the budget.
     """
 
-    @staticmethod
-    def assert_bounds_hold(v, w, shifts):
-        for s in shifts:
-            for a, b in ((v, w), (w, v)):
-                dim = len(circlepers.interleaving._hom_space(a, b, s)[1])
-                bound = circlepers.interleaving._hom_bound(a, b, s)
-                assert bound >= dim, (s, bound, dim)
-
-    def test_never_below_the_hom_dimension_on_grid_modules_and_conjugated_sums(self):
-        rng = random.Random(2323)
-        for trial in range(120):
-            n = (4, 5, 6, 8)[trial % 4]
-
-            def module():
-                g = to_grid(random_on_grid_module(rng, n, 3, random_kinds=True), n)
-                if trial % 3 == 1:
-                    g = direct_sum(g, to_grid(random_on_grid_module(rng, n, 1, random_kinds=True), n))
-                return conjugated(g, rng) if trial % 3 else g
-
-            self.assert_bounds_hold(module(), module(), range(2 * n + 1))
-
-    def test_never_below_the_hom_dimension_on_loops_and_random_steps(self):
-        loops = [with_loop(*loop) for loop in NON_NILPOTENT_LOOPS]
-        loops += [with_loop(*loop) for loop, _ in NILPOTENT_LOOPS] + [EMPTY_LOOP]
-        for v, w in itertools.product(loops, repeat=2):
-            self.assert_bounds_hold(v, w, range(5))
-        rng = random.Random(4747)
-        for trial in range(200):
-            n = rng.randint(2, 6)
-            v, w = random_steps_module(rng, n, 3), random_steps_module(rng, n, 3)
-            self.assert_bounds_hold(v, w, range(2 * n + 1))
-
-    def test_same_flags_witnesses_and_refusals_at_every_budget(self):
-        # at budget 2**k a shift is refused exactly when d_a + d_b > k; the
-        # refused shifts the rank bound refutes would be answered if the bound
-        # ran first there, and the rest must run it first
+    def test_refutes_first_and_refuses_only_a_scan_over_the_budget(self, hom_space_calls):
         rng = random.Random(4242)
         budgets = [1 << k for k in range(21)]
-        refused_refutable = refuted_first = 0
+        refuted = refused = 0
         for trial in range(90):
             n = (4, 6, 8)[trial % 3]
             v = to_grid(random_on_grid_module(rng, n, 3, random_kinds=True), n)
             w = to_grid(random_on_grid_module(rng, n, 3, random_kinds=True), n)
             for s in range(n + 2):
-                d = len(np_hom_space(v, w, s)) + len(np_hom_space(w, v, s))
                 flag, forward, backward = np_feasible_interleaving(v, w, s)
-                refutes = rank_bound_refutes(v, w, s)
+                if np_rank_bound_refutes(v, w, s):
+                    refuted += 1
+                    for budget in budgets:
+                        hom_space_calls.calls = 0
+                        assert not feasible_interleaving(v, w, s, budget).feasible, (trial, s, budget)
+                        assert hom_space_calls.calls == 0, (trial, s, budget)
+                    continue
+                d = len(np_hom_space(v, w, s)) + len(np_hom_space(w, v, s))
                 for budget in budgets:
                     if 1 << d > budget:
-                        refused_refutable += refutes
+                        refused += 1
                         with pytest.raises(BudgetExceeded):
                             feasible_interleaving(v, w, s, budget)
                         continue
                     result = feasible_interleaving(v, w, s, budget)
                     assert result.feasible == flag, (trial, s, budget)
                     if flag:
-                        assert [m.tolist() for m in result.forward.maps] == [m.tolist() for m in forward]
-                        assert [m.tolist() for m in result.backward.maps] == [m.tolist() for m in backward]
-                bounds = circlepers.interleaving._hom_bound(v, w, s) + circlepers.interleaving._hom_bound(w, v, s)
-                refuted_first += refutes and 1 << bounds <= budgets[-1]
+                        assert_same_witnesses(result, forward, backward)
                 if flag:
                     break
             for budget in budgets:
@@ -602,29 +630,20 @@ class TestHomBound:
                         bruteforce_distance(v, w, budget)
                 else:
                     assert bruteforce_distance(v, w, budget) == expected, (trial, budget)
-        assert refused_refutable >= 300 and refuted_first >= 150, (refused_refutable, refuted_first)
+        assert refuted >= 170 and refused >= 230, (refuted, refused)
 
-    def test_settles_infeasible_shifts_with_no_hom_space_solve(self, monkeypatch):
-        solves = 0
-        hom_space = circlepers.interleaving._hom_space
-
-        def counting(*args):
-            nonlocal solves
-            solves += 1
-            return hom_space(*args)
-
-        monkeypatch.setattr(circlepers.interleaving, "_hom_space", counting)
+    def test_settles_infeasible_shifts_with_no_hom_space_solve(self, hom_space_calls):
         rng = random.Random(3131)
         infeasible = unsolved = 0
         for trial in range(60):
             v = to_grid(random_on_grid_module(rng, 8, 3), 8)
             w = to_grid(random_on_grid_module(rng, 8, 3), 8)
             for s in range(9):
-                solves = 0
+                hom_space_calls.calls = 0
                 if feasible_interleaving(v, w, s).feasible:
                     break
                 infeasible += 1
-                unsolved += solves == 0
+                unsolved += hom_space_calls.calls == 0
         assert unsolved >= 130, (unsolved, infeasible)
 
 
@@ -709,8 +728,7 @@ class TestAgainstFrozenNumpyKernel:
                     assert result.feasible == flag, (n, trial, s)
                     if flag:
                         feasible += 1
-                        assert [m.tolist() for m in result.forward.maps] == [m.tolist() for m in forward]
-                        assert [m.tolist() for m in result.backward.maps] == [m.tolist() for m in backward]
+                        assert_same_witnesses(result, forward, backward)
             assert feasible >= least_feasible, grids  # most comparisons include witnesses
 
     def test_translate_basis_matches_the_translate_scan(self):
