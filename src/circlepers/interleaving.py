@@ -186,10 +186,13 @@ def _selected(basis, coefficients: int) -> int:
 
 
 def _first_pair(v: GridModule, w: GridModule, s: int, plan_a, basis_a, plan_b, basis_b):
-    """The first (forward mask, backward coefficients) whose pair passes, or None.
+    """The first (mask over *basis_a*, coefficients over *basis_b*) whose pair passes, or None.
 
-    Forward masks over *basis_a* (v -> w) ascend, and each backward answer is
-    the lex-first one, so the pair is the first of the full product scan.
+    Masks over *basis_a* (v -> w) ascend, and each answer over *basis_b*
+    (w -> v) is the lex-first one, so the pair is the first of the product
+    scan with v -> w outermost; the caller passes the smaller basis as
+    *basis_a*.  A zero *basis_a* leaves mask 0 alone, which passes exactly
+    when both S**(2s) vanish.
     """
     # the right-hand side and every column: the rows of v, then those of w
     pack_v, width = _plan(v, v, 2 * s)
@@ -249,20 +252,22 @@ def feasible_interleaving(
     Searches the filtered candidate product: forward candidates are exactly
     the degree-s morphisms v -> w (commutation nullspace), backward
     candidates the degree-s morphisms w -> v, and a pair passes when both
-    triangle identities against the internal 2s-shifts hold.  Candidates are
-    scanned in ascending bitmask order over the nullspace bases; for each
-    forward candidate the triangle identities are linear in the backward
-    coefficients, so the backward scan collapses to one
-    `gf2.lex_min_solution` call: None, or the first backward mask that
-    passes, which makes the result exactly the first passing pair of the
-    full product scan.
+    triangle identities against the internal 2s-shifts hold.  And
+    (alpha, beta) interleaves v and w exactly when (beta, alpha) interleaves
+    w and v, so one scan (`_first_pair`) runs over the smaller basis, v -> w
+    on a tie, in ascending bitmask order.  For each of its candidates the
+    triangle identities are linear in the other side's coefficients, so
+    that side collapses to one `gf2.lex_min_solution` call, and a shift
+    costs at most 2**min(d_a, d_b) of them.  The witness is the first
+    passing pair of that scan, swapped back into (forward, backward) when
+    it ran w -> v.
 
     Everything is computed on whole-module operators (see above): the
     identities read beta alpha = S_v**(2s) and alpha beta = S_w**(2s).  They
-    are bilinear in the two coefficient vectors, so the column of backward
-    coefficient k, for forward mask x, is the XOR over the bits i of x of
-    one precomputed block per pair (i, k): both products of basis operators
-    i and k, packed over their degree-2s blocks only.
+    are bilinear in the two coefficient vectors, so the column of the other
+    side's coefficient k, for scanned mask x, is the XOR over the bits i of
+    x of one precomputed block per pair (i, k): both products of basis
+    operators i and k, packed over their degree-2s blocks only.
 
     The scan settles only what cheaper tests leave open.  A rank bound
     goes first: the 2s-step composite of v from node j is beta alpha, which
@@ -272,14 +277,6 @@ def feasible_interleaving(
     solved.  The budget caps only the scans: a shift the bound leaves open
     raises `BudgetExceeded` when its candidate product 2**(d_a + d_b)
     exceeds *budget*, and a shift the bound refutes is never refused.
-    When one hom space is zero, every pair has a zero side, so the shift is
-    feasible exactly when both 2s-step composites vanish, with the zero
-    pair as witness.
-
-    And (alpha, beta) interleaves v and w exactly when (beta, alpha)
-    interleaves w and v, so when w -> v has the smaller basis its scan
-    decides the flag first; the forward scan then runs only to find the
-    witness of a feasible shift.
     """
     if v.resolution != w.resolution:
         raise ValueError("grid modules must share a resolution")
@@ -298,15 +295,15 @@ def feasible_interleaving(
             f"candidate product 2**{d_a + d_b} exceeds the budget of {budget} pairs"
         )
 
-    if not (d_a and d_b):
-        pair = None if any(v.even_power(s).rows) or any(w.even_power(s).rows) else (0, 0)
-    elif d_b < d_a and _first_pair(w, v, s, plan_b, basis_b, plan_a, basis_a) is None:
-        pair = None
-    else:
-        pair = _first_pair(v, w, s, plan_a, basis_a, plan_b, basis_b)
+    swap = d_b < d_a
+    scan = (
+        (w, v, s, plan_b, basis_b, plan_a, basis_a) if swap
+        else (v, w, s, plan_a, basis_a, plan_b, basis_b)
+    )
+    pair = _first_pair(*scan)
     if pair is None:
         return FeasibilityResult(False, None, None)
-    mask, coefficients = pair
+    mask, coefficients = pair[::-1] if swap else pair
     forward = _node_maps(_selected(basis_a, mask), plan_a, v, w, s)
     backward = _node_maps(_selected(basis_b, coefficients), plan_b, w, v, s)
     return FeasibilityResult(True, GridMorphism(s, forward), GridMorphism(s, backward))

@@ -267,10 +267,23 @@ def np_hom_space(v, w, shift: int) -> list[list[np.ndarray]]:
 
 
 def np_feasible_interleaving(v, w, s: int):
-    """(feasible, forward maps, backward maps) by the numpy mask scan."""
-    n = v.resolution
+    """(feasible, forward maps, backward maps) by the numpy mask scan.
+
+    The scan runs over the smaller hom space, v -> w on a tie; when it runs
+    w -> v, its pair is swapped back.
+    """
     basis_a = np_hom_space(v, w, s)
     basis_b = np_hom_space(w, v, s)
+    if len(basis_b) < len(basis_a):
+        flag, backward, forward = _np_mask_scan(w, v, s, basis_b, basis_a)
+        return flag, forward, backward
+    return _np_mask_scan(v, w, s, basis_a, basis_b)
+
+
+def _np_mask_scan(v, w, s: int, basis_a, basis_b):
+    """The first passing pair over masks of *basis_a* (v -> w), each with the
+    lex-first backward coefficients over *basis_b*."""
+    n = v.resolution
     d_b = len(basis_b)
     v_steps = [as_array(m) for m in v.steps]
     w_steps = [as_array(m) for m in w.steps]

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import circlepers.interleaving
 from circlepers import (
     CLOSED,
+    DEFAULT_BUDGET,
     OPEN,
     BudgetExceeded,
     CircleInterval,
@@ -111,27 +112,46 @@ def lex_min_calls(monkeypatch):
     return counting
 
 
-@pytest.fixture
-def hom_space_calls(monkeypatch):
-    """The grid search's `_hom_space`, with its calls counted in `.calls`."""
-    hom_space = circlepers.interleaving._hom_space
+def counted(monkeypatch, name):
+    """The grid search's function *name*, with its calls counted in `.calls`."""
+    function = getattr(circlepers.interleaving, name)
 
     class Counting:
         calls = 0
 
         def __call__(self, *args):
             self.calls += 1
-            return hom_space(*args)
+            return function(*args)
 
     counting = Counting()
-    monkeypatch.setattr(circlepers.interleaving, "_hom_space", counting)
+    monkeypatch.setattr(circlepers.interleaving, name, counting)
     return counting
+
+
+@pytest.fixture
+def hom_space_calls(monkeypatch):
+    return counted(monkeypatch, "_hom_space")
+
+
+@pytest.fixture
+def first_pair_calls(monkeypatch):
+    return counted(monkeypatch, "_first_pair")
 
 
 def assert_same_witnesses(result, forward, backward):
     """Both witnesses of *result* equal the numpy oracle's maps, node by node."""
     assert [m.tolist() for m in result.forward.maps] == [m.tolist() for m in forward]
     assert [m.tolist() for m in result.backward.maps] == [m.tolist() for m in backward]
+
+
+def assert_same_answer(result, expected, context):
+    """*result* has the flag of the oracle's *expected* triple and, when
+    feasible, its witnesses; returns the flag."""
+    flag, forward, backward = expected
+    assert result.feasible == flag, context
+    if flag:
+        assert_same_witnesses(result, forward, backward)
+    return flag
 
 
 def vanishes_after(g, count):
@@ -422,12 +442,9 @@ class TestScanShortcuts:
             for s in range(n + 2):
                 if np_hom_space(v, w, s) and np_hom_space(w, v, s):
                     continue
-                result = feasible_interleaving(v, w, s)
-                flag, forward, backward = np_feasible_interleaving(v, w, s)
-                assert result.feasible == flag, (trial, s)
-                if flag:
+                expected = np_feasible_interleaving(v, w, s)
+                if assert_same_answer(feasible_interleaving(v, w, s), expected, (trial, s)):
                     feasible += 1
-                    assert_same_witnesses(result, forward, backward)
                 else:
                     infeasible += 1
                     one_vanishes += vanishes_after(v, 2 * s) != vanishes_after(w, 2 * s)
@@ -450,6 +467,49 @@ class TestScanShortcuts:
                 checked += 1
                 saved += (1 << d_a) - lex_min_calls.calls
         assert checked >= 40 and saved >= 300, (checked, saved)
+
+    def test_one_scan_over_the_smaller_hom_space_settles_each_open_shift(self, first_pair_calls, lex_min_calls):
+        # feasible shifts included, among them those with 0 < d_b < d_a, whose
+        # witness also comes from the one scan over w -> v
+        rng = random.Random(2525)
+        scanned = swapped = 0
+        for trial in range(60):
+            v = to_grid(random_on_grid_module(rng, 8, 4), 8)
+            w = to_grid(random_on_grid_module(rng, 8, 2), 8)
+            for s in range(10):
+                d_a, d_b = len(np_hom_space(v, w, s)), len(np_hom_space(w, v, s))
+                first_pair_calls.calls = lex_min_calls.calls = 0
+                feasible = feasible_interleaving(v, w, s).feasible
+                assert first_pair_calls.calls == (not np_rank_bound_refutes(v, w, s)), (trial, s)
+                assert lex_min_calls.calls <= 1 << min(d_a, d_b), (trial, s, d_a, d_b)
+                scanned += first_pair_calls.calls
+                swapped += feasible and 0 < d_b < d_a
+        assert scanned >= 400 and swapped >= 45, (scanned, swapped)
+
+    def test_swapping_the_modules_swaps_the_witnesses(self):
+        # the scan runs over the smaller hom space whichever module comes
+        # first, so only a tie scans two different products; random steps
+        # give shifts with several passing pairs, where the first pair of a
+        # product depends on which side it scans
+        rng = random.Random(2626)
+        compared = 0
+        for trial in range(300):
+            n = (4, 6, 8)[trial % 3]
+            v, w = random_steps_module(rng, n, 3), random_steps_module(rng, n, 2)
+            for s in range(n + 2):
+                d_a, d_b = len(np_hom_space(v, w, s)), len(np_hom_space(w, v, s))
+                if 1 << (d_a + d_b) > DEFAULT_BUDGET:
+                    continue
+                result, mirrored = feasible_interleaving(v, w, s), feasible_interleaving(w, v, s)
+                assert result.feasible == mirrored.feasible, (trial, s)
+                if not result.feasible or d_a == d_b:
+                    continue
+                assert is_interleaving_pair(v, w, result.forward, result.backward), (trial, s)
+                assert is_interleaving_pair(w, v, mirrored.forward, mirrored.backward), (trial, s)
+                assert result.forward.maps == mirrored.backward.maps, (trial, s)
+                assert result.backward.maps == mirrored.forward.maps, (trial, s)
+                compared += min(d_a, d_b) > 0
+        assert compared >= 1100, compared
 
 
 def random_invertible(rng, d):
@@ -528,13 +588,10 @@ class TestRankBound:
 
             v, w = module(), module()
             for s in range(n + 2):
-                result = feasible_interleaving(v, w, s)
-                flag, forward, backward = np_feasible_interleaving(v, w, s)
-                assert result.feasible == flag, (trial, s)
-                if flag:
+                expected = np_feasible_interleaving(v, w, s)
+                if assert_same_answer(feasible_interleaving(v, w, s), expected, (trial, s)):
                     feasible += 1
                     assert not rank_bound_refutes(v, w, s), (trial, s)
-                    assert_same_witnesses(result, forward, backward)
                 else:
                     refuted += rank_bound_refutes(v, w, s)
         assert feasible >= 400 and refuted >= 140, (feasible, refuted)
@@ -602,7 +659,6 @@ class TestHomBound:
             v = to_grid(random_on_grid_module(rng, n, 3, random_kinds=True), n)
             w = to_grid(random_on_grid_module(rng, n, 3, random_kinds=True), n)
             for s in range(n + 2):
-                flag, forward, backward = np_feasible_interleaving(v, w, s)
                 if np_rank_bound_refutes(v, w, s):
                     refuted += 1
                     for budget in budgets:
@@ -611,17 +667,15 @@ class TestHomBound:
                         assert hom_space_calls.calls == 0, (trial, s, budget)
                     continue
                 d = len(np_hom_space(v, w, s)) + len(np_hom_space(w, v, s))
+                expected = np_feasible_interleaving(v, w, s)
                 for budget in budgets:
                     if 1 << d > budget:
                         refused += 1
                         with pytest.raises(BudgetExceeded):
                             feasible_interleaving(v, w, s, budget)
                         continue
-                    result = feasible_interleaving(v, w, s, budget)
-                    assert result.feasible == flag, (trial, s, budget)
-                    if flag:
-                        assert_same_witnesses(result, forward, backward)
-                if flag:
+                    assert_same_answer(feasible_interleaving(v, w, s, budget), expected, (trial, s, budget))
+                if expected[0]:
                     break
             for budget in budgets:
                 expected = np_bruteforce_distance(v, w, budget)
@@ -651,9 +705,10 @@ class TestAgainstLiteralProductScan:
     """Reference implementation of the candidate-product scan.
 
     Enumerates both filtered candidate spaces explicitly in ascending bitmask
-    order and tests the triangle identities pair by pair, in numpy arithmetic
-    on the library's matrices read through `tolist()`; the library's
-    collapsed search must return exactly the same first witness.  The
+    order, the smaller one outermost (v -> w on a tie), and tests the
+    triangle identities pair by pair, in numpy arithmetic on the library's
+    matrices read through `tolist()`; the library's collapsed search must
+    return exactly the same first witness.  The
     candidate bases and their shapes come from the frozen numpy hom-space
     solve in `oracles`, so nothing here runs the kernel it checks.
     """
@@ -670,9 +725,17 @@ class TestAgainstLiteralProductScan:
             yield mats
 
     def _product_scan(self, v, w, s):
-        n = v.resolution
+        """The first passing pair, the w -> v candidates outermost when they
+        span the smaller space, as the library scans."""
         basis_a = np_hom_space(v, w, s)
         basis_b = np_hom_space(w, v, s)
+        if len(basis_b) < len(basis_a):
+            feasible, beta, alpha = self._first_pair(w, v, s, basis_b, basis_a)
+            return feasible, alpha, beta
+        return self._first_pair(v, w, s, basis_a, basis_b)
+
+    def _first_pair(self, v, w, s, basis_a, basis_b):
+        n = v.resolution
         v_steps = [as_array(m) for m in v.steps]
         w_steps = [as_array(m) for m in w.steps]
         target_v = [np_step_composite(v_steps, v.dims, j, 2 * s) for j in range(n)]
@@ -689,19 +752,21 @@ class TestAgainstLiteralProductScan:
 
     def test_same_answer_and_same_first_witness(self):
         rng = random.Random(4242)
-        checked = 0
+        checked = swapped = 0
         for _ in range(60):
             v = to_grid(random_on_grid_module(rng, 4, 2), 4)
             w = to_grid(random_on_grid_module(rng, 4, 2), 4)
-            s = rng.randint(0, 4)
-            feasible, alpha, beta = self._product_scan(v, w, s)
-            result = feasible_interleaving(v, w, s)
-            assert result.feasible == feasible
-            if feasible:
-                checked += 1
-                assert all(np.array_equal(as_array(a), b) for a, b in zip(result.forward.maps, alpha))
-                assert all(np.array_equal(as_array(a), b) for a, b in zip(result.backward.maps, beta))
-        assert checked >= 10  # the comparison actually exercised witnesses
+            for s in range(6):
+                feasible, alpha, beta = self._product_scan(v, w, s)
+                result = feasible_interleaving(v, w, s)
+                assert result.feasible == feasible
+                if feasible:
+                    checked += 1
+                    assert all(np.array_equal(as_array(a), b) for a, b in zip(result.forward.maps, alpha))
+                    assert all(np.array_equal(as_array(a), b) for a, b in zip(result.backward.maps, beta))
+                    swapped += 0 < len(np_hom_space(w, v, s)) < len(np_hom_space(v, w, s))
+        # the comparison actually exercised witnesses, swapped ones included
+        assert checked >= 10 and swapped >= 10, (checked, swapped)
 
 
 class TestAgainstFrozenNumpyKernel:
@@ -723,12 +788,8 @@ class TestAgainstFrozenNumpyKernel:
                 mw = random_on_grid_module(rng, n, max_intervals, random_kinds=True)
                 v, w = to_grid(mv, n), to_grid(mw, n)
                 for s in range(n + 2):
-                    result = feasible_interleaving(v, w, s)
-                    flag, forward, backward = np_feasible_interleaving(v, w, s)
-                    assert result.feasible == flag, (n, trial, s)
-                    if flag:
-                        feasible += 1
-                        assert_same_witnesses(result, forward, backward)
+                    expected = np_feasible_interleaving(v, w, s)
+                    feasible += assert_same_answer(feasible_interleaving(v, w, s), expected, (n, trial, s))
             assert feasible >= least_feasible, grids  # most comparisons include witnesses
 
     def test_translate_basis_matches_the_translate_scan(self):
