@@ -4,11 +4,15 @@ A :class:`Matrix` stores one Python int per row, where bit c is the entry in
 column c, plus the column count.  A vector is a single int in the same
 layout.  Row operations are whole-row XORs, in the spirit of M4RI; the
 dimensions met here are tiny (tens of rows, a few hundred columns at most),
-so one plain Gauss-Jordan on those ints, `rref`, serves every solver here.
+so one plain elimination on those ints serves every solver here: `echelon`
+clears each row against the pivots found so far (`remainder`), `rref` adds
+the back substitution, and rank counts and span tests read the echelon
+basis alone.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 
@@ -50,24 +54,43 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(tuple(out), b.cols)
 
 
+def remainder(basis: dict[int, int], row: int) -> int:
+    """*row* cleared at its lowest bit against *basis* until that bit is no pivot.
+
+    *basis* maps each pivot bit to a row whose lowest set bit it is, as
+    `echelon` builds it.  Only the pivots the row actually meets are
+    touched, and the result is 0 exactly when *row* is in the span.
+    """
+    while row:
+        low = row & -row
+        prow = basis.get(low)
+        if prow is None:
+            return row
+        row ^= prow
+    return 0
+
+
+def echelon(rows: Iterable[int]) -> dict[int, int]:
+    """An echelon basis of the span of *rows*: pivot bit -> row whose lowest set bit it is.
+
+    Its size is the rank.
+    """
+    basis: dict[int, int] = {}
+    for row in rows:
+        row = remainder(basis, row)
+        if row:
+            basis[row & -row] = row
+    return basis
+
+
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the list of pivot columns (ascending).
 
     The reduced matrix keeps the shape of *a*: pivot rows in pivot order,
     then zero rows.
     """
-    # echelon form first: each row is cleared at its lowest bit until that
-    # bit is a new pivot, which touches only the pivots it actually meets
-    basis: dict[int, int] = {}  # pivot bit -> row whose lowest set bit it is
-    for row in a.rows:
-        while row:
-            low = row & -row
-            prow = basis.get(low)
-            if prow is None:
-                basis[low] = row
-                break
-            row ^= prow
-    # then back substitution from the highest pivot down: a reduced row holds
+    basis = echelon(a.rows)
+    # back substitution from the highest pivot down: a reduced row holds
     # no other pivot, so one XOR clears each higher pivot a row contains
     order = sorted(basis, reverse=True)
     above = 0

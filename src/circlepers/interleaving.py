@@ -191,31 +191,34 @@ def _first_pair(v: GridModule, w: GridModule, s: int, plan_a, basis_a, plan_b, b
     Masks over *basis_a* (v -> w) ascend, and each answer over *basis_b*
     (w -> v) is the lex-first one, so the pair is the first of the product
     scan with v -> w outermost; the caller passes the smaller basis as
-    *basis_a*.  A zero *basis_a* leaves mask 0 alone, which passes exactly
-    when both S**(2s) vanish.
+    *basis_a*.  Mask 0 passes exactly when both S**(2s) vanish, with the
+    zero pair, and that is decided before any operator is built.  Every
+    other mask only tests whether the span of its columns holds the
+    right-hand side, against an echelon basis; `gf2.lex_min_solution` runs
+    once, on the first mask that passes, for its coefficients.
     """
     # the right-hand side and every column: the rows of v, then those of w
     pack_v, width = _plan(v, v, 2 * s)
     pack_w, width = _plan(w, w, 2 * s, width)
     rhs = _packed(v.even_power(s).rows, pack_v) | _packed(w.even_power(s).rows, pack_w)
+    if not rhs:
+        return 0, 0
 
-    forward_ops = [_unpacked(vec, plan_a, v.operator.cols) for vec in basis_a]
     backward_ops = [_unpacked(vec, plan_b, w.operator.cols) for vec in basis_b]
     blocks: list[list[int]] = []  # blocks[i][k]; row i is built when bit i first flips
     columns = [0] * len(basis_b)
-    for mask in range(1 << len(basis_a)):
+    for mask in range(1, 1 << len(basis_a)):
         # mask - 1 -> mask flips bits 0..i, where 2**i is the lowest set bit of mask
         for i in range((mask & -mask).bit_length()):
             if i == len(blocks):
-                alpha = forward_ops[i]
+                alpha = _unpacked(basis_a[i], plan_a, v.operator.cols)
                 blocks.append([
                     _packed((beta @ alpha).rows, pack_v) | _packed((alpha @ beta).rows, pack_w)
                     for beta in backward_ops
                 ])
             columns = [c ^ b for c, b in zip(columns, blocks[i])]
-        coefficients = gf2.lex_min_solution(Matrix(tuple(columns), width), rhs)
-        if coefficients is not None:
-            return mask, coefficients
+        if not gf2.remainder(gf2.echelon(columns), rhs):
+            return mask, gf2.lex_min_solution(Matrix(tuple(columns), width), rhs)
     return None
 
 
@@ -227,7 +230,8 @@ def _rank_exceeds_room(v: GridModule, w: GridModule, s: int) -> bool:
     fiber's dimension.  The composite is the block of S_v**(2s) in the rows
     of node j + 2s, and those rows hold bits in node j's columns only.  A
     block with fewer rows or columns than the room needs no elimination,
-    and against no room at all only a nonzero row counts.
+    and against no room at all only a nonzero row counts.  The rank is the
+    size of the block's echelon basis, with no back substitution.
     """
     n = v.resolution
     offsets, rows = v.offsets, v.even_power(s).rows
@@ -239,9 +243,38 @@ def _rank_exceeds_room(v: GridModule, w: GridModule, s: int) -> bool:
             if not room:
                 if any(block):
                     return True
-            elif len(gf2.rref(Matrix(block, offsets[n]))[1]) > room:
+            elif len(gf2.echelon(block)) > room:
                 return True
     return False
+
+
+def _passing_pair(v: GridModule, w: GridModule, s: int, budget: int):
+    """Decide shift *s*: the passing (mask, coefficients, hom v -> w, hom w -> v), or None.
+
+    Each hom space is its (plan, basis) from `_hom_space`; the mask selects
+    from the v -> w basis and the coefficients from the w -> v one, swapped
+    back when the scan ran w -> v.  Raises `BudgetExceeded` as
+    `feasible_interleaving` documents.
+    """
+    if v.resolution != w.resolution:
+        raise ValueError("grid modules must share a resolution")
+    if s < 0:
+        raise ValueError("shift must be nonnegative")
+    if _rank_exceeds_room(v, w, s) or _rank_exceeds_room(w, v, s):
+        return None
+    hom_a = _hom_space(v, w, s)
+    hom_b = _hom_space(w, v, s)
+    d_a = len(hom_a[1])
+    d_b = len(hom_b[1])
+    if (1 << (d_a + d_b)) > budget:
+        raise BudgetExceeded(
+            f"candidate product 2**{d_a + d_b} exceeds the budget of {budget} pairs"
+        )
+    if d_b < d_a:
+        pair = _first_pair(w, v, s, *hom_b, *hom_a)
+        return None if pair is None else (pair[1], pair[0], hom_a, hom_b)
+    pair = _first_pair(v, w, s, *hom_a, *hom_b)
+    return None if pair is None else (*pair, hom_a, hom_b)
 
 
 def feasible_interleaving(
@@ -257,10 +290,12 @@ def feasible_interleaving(
     w and v, so one scan (`_first_pair`) runs over the smaller basis, v -> w
     on a tie, in ascending bitmask order.  For each of its candidates the
     triangle identities are linear in the other side's coefficients, so
-    that side collapses to one `gf2.lex_min_solution` call, and a shift
-    costs at most 2**min(d_a, d_b) of them.  The witness is the first
-    passing pair of that scan, swapped back into (forward, backward) when
-    it ran w -> v.
+    that side collapses to one span test, and a shift costs at most
+    2**min(d_a, d_b) of them; `gf2.lex_min_solution` runs only on the
+    first mask that passes.  The witness is the first passing pair of that
+    scan, swapped back into (forward, backward) when it ran w -> v; it is
+    built from the decision of `_passing_pair`, which
+    `bruteforce_distance` reads without building it.
 
     Everything is computed on whole-module operators (see above): the
     identities read beta alpha = S_v**(2s) and alpha beta = S_w**(2s).  They
@@ -278,32 +313,11 @@ def feasible_interleaving(
     raises `BudgetExceeded` when its candidate product 2**(d_a + d_b)
     exceeds *budget*, and a shift the bound refutes is never refused.
     """
-    if v.resolution != w.resolution:
-        raise ValueError("grid modules must share a resolution")
-    if shift_steps < 0:
-        raise ValueError("shift must be nonnegative")
     s = shift_steps
-
-    if _rank_exceeds_room(v, w, s) or _rank_exceeds_room(w, v, s):
+    found = _passing_pair(v, w, s, budget)
+    if found is None:
         return FeasibilityResult(False, None, None)
-    plan_a, basis_a = _hom_space(v, w, s)
-    plan_b, basis_b = _hom_space(w, v, s)
-    d_a = len(basis_a)
-    d_b = len(basis_b)
-    if (1 << (d_a + d_b)) > budget:
-        raise BudgetExceeded(
-            f"candidate product 2**{d_a + d_b} exceeds the budget of {budget} pairs"
-        )
-
-    swap = d_b < d_a
-    scan = (
-        (w, v, s, plan_b, basis_b, plan_a, basis_a) if swap
-        else (v, w, s, plan_a, basis_a, plan_b, basis_b)
-    )
-    pair = _first_pair(*scan)
-    if pair is None:
-        return FeasibilityResult(False, None, None)
-    mask, coefficients = pair[::-1] if swap else pair
+    mask, coefficients, (plan_a, basis_a), (plan_b, basis_b) = found
     forward = _node_maps(_selected(basis_a, mask), plan_a, v, w, s)
     backward = _node_maps(_selected(basis_b, coefficients), plan_b, w, v, s)
     return FeasibilityResult(True, GridMorphism(s, forward), GridMorphism(s, backward))
@@ -357,12 +371,14 @@ def bruteforce_distance(v: GridModule, w: GridModule, budget: int = DEFAULT_BUDG
     composite vanishes once 2s reaches it, and then the zero pair
     interleaves.  Running past the bound means a step operator is not
     nilpotent, which no interval module gives: that module is named in a
-    `ValueError`.
+    `ValueError`.  Each shift is decided by `_passing_pair`, as in
+    `feasible_interleaving`, but no witness is built: the value reads only
+    whether a pair passes.
     """
     n = v.resolution
     limit = max(sum(v.dims), sum(w.dims))
     for s in range(limit + 1):
-        if feasible_interleaving(v, w, s, budget).feasible:
+        if _passing_pair(v, w, s, budget) is not None:
             return Fraction(s, n)
     for name, g in (("v", v), ("w", w)):
         if any(g.even_power(limit).rows):

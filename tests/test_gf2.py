@@ -1,6 +1,9 @@
 import random
 
-from circlepers.gf2 import Matrix, lex_min_solution, nullspace, rref
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from circlepers.gf2 import Matrix, echelon, lex_min_solution, nullspace, remainder, rref
 from oracles import frozen_rref
 
 
@@ -35,6 +38,52 @@ def random_case(rng: random.Random) -> tuple[Matrix, int]:
     else:
         b = picked_xor(rows, rng.getrandbits(len(rows)))
     return Matrix(tuple(rows), cols), b
+
+
+@st.composite
+def systems(draw):
+    """Up to 12 drawn rows of up to 100 columns, then up to 4 sums of them,
+    and a target that is a sum of the rows or any vector."""
+    cols = draw(st.integers(0, 100))
+    vector = st.integers(0, (1 << cols) - 1)
+    rows = draw(st.lists(vector, max_size=12))
+    for x in draw(st.lists(st.integers(0, (1 << len(rows)) - 1), max_size=4)):
+        rows.append(picked_xor(rows, x))
+    if draw(st.booleans()):
+        b = picked_xor(rows, draw(st.integers(0, (1 << len(rows)) - 1)))
+    else:
+        b = draw(vector)
+    return Matrix(tuple(rows), cols), b
+
+
+WIDE = Matrix((1 << 70 | 1, 1 << 64, 1 << 70 | 1 << 64 | 1, 0), 71)
+
+
+class TestEchelon:
+    """The echelon basis and the remainder against it, which the grid search
+    reads for ranks and span tests, agree with `rref` and `lex_min_solution`."""
+
+    @given(systems())
+    @example((Matrix((), 0), 0))
+    @example((Matrix((), 5), 0b100))
+    @example((Matrix((0, 0, 0), 5), 0))
+    @example((Matrix((0, 0, 0), 5), 0b1))
+    @example((WIDE, 1 << 70 | 1 << 64 | 1))
+    @example((WIDE, 1 << 70 | 1 << 64))
+    def test_pivots_and_span_agree_with_the_solvers(self, system):
+        a, b = system
+        basis = echelon(a.rows)
+        assert len(basis) == len(rref(a)[1])
+        assert all(row & -row == bit for bit, row in basis.items())
+        assert (remainder(basis, b) == 0) == (lex_min_solution(a, b) is not None)
+
+    def test_remainder_keeps_what_no_pivot_clears(self):
+        basis = echelon((0b0110, 0b0011))
+        assert sorted(basis) == [0b0001, 0b0010]
+        assert remainder(basis, 0b0101) == 0
+        assert remainder(basis, 0b1000) == 0b1000
+        assert remainder({}, 0b10) == 0b10
+        assert remainder(basis, 0) == 0
 
 
 class TestLexMinSolution:

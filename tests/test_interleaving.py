@@ -138,6 +138,11 @@ def first_pair_calls(monkeypatch):
     return counted(monkeypatch, "_first_pair")
 
 
+@pytest.fixture
+def node_maps_calls(monkeypatch):
+    return counted(monkeypatch, "_node_maps")
+
+
 def assert_same_witnesses(result, forward, backward):
     """Both witnesses of *result* equal the numpy oracle's maps, node by node."""
     assert [m.tolist() for m in result.forward.maps] == [m.tolist() for m in forward]
@@ -486,6 +491,29 @@ class TestScanShortcuts:
                 swapped += feasible and 0 < d_b < d_a
         assert scanned >= 400 and swapped >= 45, (scanned, swapped)
 
+    def test_solves_only_at_the_passing_mask(self, lex_min_calls):
+        # every mask before the pass is a span test alone, so an infeasible
+        # shift never solves, even where its scan tries masks; the rank bound
+        # refutes most infeasible shifts of small modules, so these are large
+        rng = random.Random(2727)
+        solved = scanned_infeasible = 0
+        for trial in range(200):
+            v = to_grid(random_on_grid_module(rng, 16, 5), 16)
+            w = to_grid(random_on_grid_module(rng, 16, 5), 16)
+            for s in range(17):
+                lex_min_calls.calls = 0
+                try:
+                    feasible = feasible_interleaving(v, w, s).feasible
+                except BudgetExceeded:
+                    break
+                assert lex_min_calls.calls <= feasible, (trial, s, lex_min_calls.calls)
+                solved += lex_min_calls.calls
+                if feasible:
+                    break
+                if not np_rank_bound_refutes(v, w, s):
+                    scanned_infeasible += min(len(np_hom_space(v, w, s)), len(np_hom_space(w, v, s))) > 0
+        assert solved >= 70 and scanned_infeasible >= 45, (solved, scanned_infeasible)
+
     def test_swapping_the_modules_swaps_the_witnesses(self):
         # the scan runs over the smaller hom space whichever module comes
         # first, so only a tie scans two different products; random steps
@@ -699,6 +727,28 @@ class TestHomBound:
                 infeasible += 1
                 unsolved += hom_space_calls.calls == 0
         assert unsolved >= 130, (unsolved, infeasible)
+
+    def test_decides_the_distance_without_building_a_witness(self, node_maps_calls):
+        rng = random.Random(4343)
+        budgets = [1 << k for k in range(21)]
+        refused = answered = 0
+        for trial in range(45):
+            n = (4, 6, 8)[trial % 3]
+            v = to_grid(random_on_grid_module(rng, n, 3, random_kinds=True), n)
+            w = to_grid(random_on_grid_module(rng, n, 3, random_kinds=True), n)
+            for budget in budgets:
+                expected = np_bruteforce_distance(v, w, budget)
+                if expected is None:
+                    refused += 1
+                    with pytest.raises(BudgetExceeded):
+                        bruteforce_distance(v, w, budget)
+                else:
+                    answered += 1
+                    assert bruteforce_distance(v, w, budget) == expected, (trial, budget)
+        assert node_maps_calls.calls == 0
+        assert refused >= 100 and answered >= 700, (refused, answered)
+        # the counter sees the witness builder: one call per direction
+        assert feasible_interleaving(v, v, 0).feasible and node_maps_calls.calls == 2
 
 
 class TestAgainstLiteralProductScan:
