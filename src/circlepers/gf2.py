@@ -13,15 +13,20 @@ basis alone.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+
+from ._value import Value
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(Value):
     """A 0/1 matrix: ``rows[r]`` holds row r with column c at bit c."""
 
+    __slots__ = ("rows", "cols")
     rows: tuple[int, ...]
     cols: int
+
+    def __init__(self, rows: tuple[int, ...], cols: int):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -8,38 +8,42 @@ brute-force interleaving search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import gf2
+from ._value import Value
 from .gf2 import Matrix
 from .intervals import CircleModule, _members
 from .rationals import shown
 
 
-@dataclass(frozen=True, eq=False)
-class GridModule:
+class GridModule(Value):
     """Node j's fiber is the block of labels from ``offsets[j]`` up to
-    ``offsets[j + 1]``; ``operator`` is the step operator on all D labels."""
+    ``offsets[j + 1]``; ``operator`` is the step operator on all D labels.
 
+    Two grid modules are equal only when they are the same object."""
+
+    __slots__ = ("resolution", "dims", "steps", "offsets", "operator", "_even_powers")
+    _fields = ("resolution", "dims", "steps")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
     resolution: int
     dims: tuple[int, ...]
     steps: tuple[Matrix, ...]
-    offsets: tuple[int, ...] = field(init=False, repr=False)
-    operator: Matrix = field(init=False, repr=False)
-    _even_powers: dict[int, Matrix] = field(init=False, repr=False)
+    offsets: tuple[int, ...]
+    operator: Matrix
+    _even_powers: dict[int, Matrix]
 
-    def __post_init__(self):
-        n = self.resolution
+    def __init__(self, resolution: int, dims: tuple[int, ...], steps: tuple[Matrix, ...]):
+        n = resolution
         if n < 2:
             raise ValueError("grid resolution must be at least 2")
-        if not (len(self.dims) == len(self.steps) == n):
+        if not (len(dims) == len(steps) == n):
             raise ValueError("dims and steps must have one entry per node")
         offsets = [0]
-        for d in self.dims:
+        for d in dims:
             offsets.append(offsets[-1] + d)
         rows = [0] * offsets[n]
-        for j, step in enumerate(self.steps):
-            expected = (self.dims[(j + 1) % n], self.dims[j])
+        for j, step in enumerate(steps):
+            expected = (dims[(j + 1) % n], dims[j])
             if step.shape != expected:
                 raise ValueError(f"step matrix at node {j} has shape {step.shape}, expected {expected}")
             base = offsets[(j + 1) % n]
@@ -47,6 +51,9 @@ class GridModule:
                 if row < 0 or row >> step.cols:
                     raise ValueError(f"step matrix at node {j} has row {r} outside its {step.cols} columns")
                 rows[base + r] = row << offsets[j]
+        object.__setattr__(self, "resolution", resolution)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "offsets", tuple(offsets))
         object.__setattr__(self, "operator", Matrix(tuple(rows), offsets[n]))
         object.__setattr__(self, "_even_powers", {0: gf2.identity(offsets[n])})

@@ -10,11 +10,11 @@ the other two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import gf2
+from ._value import Value
 from .gf2 import Matrix
 from .grid import GridModule, step_composite
 from .intervals import CircleModule, LineInterval, diagram_of
@@ -29,18 +29,25 @@ class BudgetExceeded(RuntimeError):
     """A shift the rank bound leaves open has more candidate pairs than the budget."""
 
 
-@dataclass(frozen=True, eq=False)
-class GridMorphism:
+class GridMorphism(Value):
     """A degree-``shift`` family of maps between grid modules.
 
     ``maps[j]`` sends the fiber at node j of the source to the fiber at node
     (j + shift) mod N of the target.  Shifts of N or more simply wrap; the
     per-node matrices are the same for every winding, which is exactly the
-    translation-invariance the lifted formulation demands.
+    translation-invariance the lifted formulation demands.  Two morphisms
+    are equal only when they are the same object.
     """
 
+    __slots__ = ("shift", "maps")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
     shift: int
     maps: tuple[Matrix, ...]
+
+    def __init__(self, shift: int, maps: tuple[Matrix, ...]):
+        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "maps", maps)
 
 
 class FeasibilityResult(NamedTuple):

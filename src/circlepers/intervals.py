@@ -10,10 +10,10 @@ persistence diagrams, all exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+from ._value import Value
 from .metric_plane import Diagram, PlanePoint
 from .metric_quotient import QuotientDiagram, QuotientPoint
 from .rationals import (
@@ -47,32 +47,43 @@ def kind_code(lo_kind: EndpointKind, hi_kind: EndpointKind) -> str:
     return lo_kind.value + hi_kind.value
 
 
-@dataclass(frozen=True, slots=True)
-class LineInterval:
+def _is_singleton(lo: Fraction, hi: Fraction) -> bool:
+    # lo == hi on the ints of two reduced fractions, with no `Fraction.__eq__`
+    return lo.numerator == hi.numerator and lo.denominator == hi.denominator
+
+
+class LineInterval(Value):
     """An interval |lo, hi| on the real line with explicit endpoint kinds.
 
     Infinite endpoints must be open; a singleton (lo == hi) must be finite
     and closed on both sides.
     """
 
+    __slots__ = ("lo", "hi", "lo_kind", "hi_kind")
     lo: Ext
     hi: Ext
-    lo_kind: EndpointKind = CLOSED
-    hi_kind: EndpointKind = OPEN
+    lo_kind: EndpointKind
+    hi_kind: EndpointKind
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", as_ext(self.lo))
-        object.__setattr__(self, "hi", as_ext(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"interval endpoints out of order: {shown(self.lo)} > {shown(self.hi)}")
-        if (not is_finite(self.lo) and self.lo > 0) or (not is_finite(self.hi) and self.hi < 0):
+    def __init__(self, lo: Ext, hi: Ext, lo_kind: EndpointKind = CLOSED, hi_kind: EndpointKind = OPEN):
+        lo = as_ext(lo)
+        hi = as_ext(hi)
+        if lo > hi:
+            raise ValueError(f"interval endpoints out of order: {shown(lo)} > {shown(hi)}")
+        finite_lo, finite_hi = is_finite(lo), is_finite(hi)
+        if (not finite_lo and lo > 0) or (not finite_hi and hi < 0):
             raise ValueError("interval cannot sit at a single infinity")
-        if not is_finite(self.lo) and self.lo_kind is not OPEN:
+        if not finite_lo and lo_kind is not OPEN:
             raise ValueError("an infinite endpoint must be open")
-        if not is_finite(self.hi) and self.hi_kind is not OPEN:
+        if not finite_hi and hi_kind is not OPEN:
             raise ValueError("an infinite endpoint must be open")
-        if self.lo == self.hi and (self.lo_kind is not CLOSED or self.hi_kind is not CLOSED):
+        # past the tests above, equal endpoints are finite, so their ints decide
+        if finite_lo and finite_hi and _is_singleton(lo, hi) and (lo_kind is not CLOSED or hi_kind is not CLOSED):
             raise ValueError("a singleton interval must be closed on both sides")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "lo_kind", lo_kind)
+        object.__setattr__(self, "hi_kind", hi_kind)
 
     def contains(self, x) -> bool:
         x = as_ext(x)
@@ -90,8 +101,7 @@ class LineInterval:
         return PlanePoint(self.lo, self.hi)
 
 
-@dataclass(frozen=True, slots=True)
-class CircleInterval:
+class CircleInterval(Value):
     """Translation class of a finite interval, stored with lo in [0, 1).
 
     The class stands for the whole family {|lo+n, hi+n| : n integer}; any
@@ -100,50 +110,51 @@ class CircleInterval:
     be finite (this is what keeps the around-the-loop maps nilpotent).
     """
 
+    __slots__ = ("lo", "hi", "lo_kind", "hi_kind")
     lo: Fraction
     hi: Fraction
-    lo_kind: EndpointKind = CLOSED
-    hi_kind: EndpointKind = OPEN
+    lo_kind: EndpointKind
+    hi_kind: EndpointKind
 
-    def __post_init__(self):
-        lo = as_fraction(self.lo)
-        hi = as_fraction(self.hi)
+    def __init__(
+        self, lo: Fraction, hi: Fraction, lo_kind: EndpointKind = CLOSED, hi_kind: EndpointKind = OPEN
+    ):
+        lo = as_fraction(lo)
+        hi = as_fraction(hi)
         canonical = unit_representative(lo, hi)
         if canonical is None:
             raise ValueError(f"interval endpoints out of order: {shown(lo)} > {shown(hi)}")
         lo, hi = canonical
+        if _is_singleton(lo, hi) and (lo_kind is not CLOSED or hi_kind is not CLOSED):
+            raise ValueError("a singleton interval must be closed on both sides")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-        if self.lo == self.hi and (self.lo_kind is not CLOSED or self.hi_kind is not CLOSED):
-            raise ValueError("a singleton interval must be closed on both sides")
+        object.__setattr__(self, "lo_kind", lo_kind)
+        object.__setattr__(self, "hi_kind", hi_kind)
 
 
 def _sort_key(ival: LineInterval | CircleInterval):
     return (*order_key(ival.lo), *order_key(ival.hi), ival.lo_kind.value, ival.hi_kind.value)
 
 
-@dataclass(frozen=True)
-class LineModule:
+class LineModule(Value):
     """Finite multiset of line intervals, one summand per entry."""
 
-    intervals: tuple[LineInterval, ...] = ()
+    __slots__ = ("intervals",)
+    intervals: tuple[LineInterval, ...]
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "intervals", tuple(sorted(self.intervals, key=_sort_key))
-        )
+    def __init__(self, intervals: tuple[LineInterval, ...] = ()):
+        object.__setattr__(self, "intervals", tuple(sorted(intervals, key=_sort_key)))
 
 
-@dataclass(frozen=True)
-class CircleModule:
+class CircleModule(Value):
     """Finite multiset of circle interval classes, one summand per entry."""
 
-    intervals: tuple[CircleInterval, ...] = ()
+    __slots__ = ("intervals",)
+    intervals: tuple[CircleInterval, ...]
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "intervals", tuple(sorted(self.intervals, key=_sort_key))
-        )
+    def __init__(self, intervals: tuple[CircleInterval, ...] = ()):
+        object.__setattr__(self, "intervals", tuple(sorted(intervals, key=_sort_key)))
 
 
 def _members(lo, hi, lo_kind: EndpointKind, hi_kind: EndpointKind) -> range:

@@ -307,14 +307,14 @@ def _matching_rows(text: str, n_a: int, n_b: int, shift_required: bool) -> list[
             raise ParseError(line_no, f"expected {forms}, got {quoted(line)}")
         numbers = tuple(_integer(v, line_no, record is None) for v in values)
         for side, index in zip(sides[tag], numbers):
-            where = f"{side} index {quoted(index)}"
             if not 0 <= index < sizes[side]:
-                raise ParseError(
-                    line_no, f"{where} out of range (diagram {side} has {sizes[side]} points)"
-                )
-            if (side, index) in first_line:
-                raise ParseError(line_no, f"{where} already used on line {first_line[side, index]}")
-            first_line[side, index] = line_no
+                problem = f"out of range (diagram {side} has {sizes[side]} points)"
+            elif (side, index) in first_line:
+                problem = f"already used on line {first_line[side, index]}"
+            else:
+                first_line[side, index] = line_no
+                continue
+            raise ParseError(line_no, f"{side} index {quoted(index)} {problem}")
         if tag == "pair":
             pairs.append(numbers)
     return pairs

@@ -10,24 +10,28 @@ every pair and preserves the cost exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._value import Value
 from .metric_plane import PartialMatching
 from .metric_quotient import QuotientDiagram, QuotientPoint, _class_pair_cost, _largest_cost
 
 
-@dataclass(frozen=True)
-class OrbitPair:
+class OrbitPair(Value):
     """Full-orbit pair: translate n of class a matches translate n + shift of class b."""
 
+    __slots__ = ("a", "b", "shift")
     a: int
     b: int
     shift: int
 
+    def __init__(self, a: int, b: int, shift: int):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "shift", shift)
 
-@dataclass(frozen=True)
-class InvariantMatching:
+
+class InvariantMatching(Value):
     """A plane matching between two translate-orbit families, stored by orbits.
 
     ``classes_a`` and ``classes_b`` list the orbit classes (with multiplicity,
@@ -36,21 +40,30 @@ class InvariantMatching:
     and every representative of any other class is unmatched.
     """
 
+    __slots__ = ("classes_a", "classes_b", "orbit_pairs")
     classes_a: tuple[QuotientPoint, ...]
     classes_b: tuple[QuotientPoint, ...]
-    orbit_pairs: frozenset[OrbitPair] = frozenset()
+    orbit_pairs: frozenset[OrbitPair]
 
-    def __post_init__(self):
-        object.__setattr__(self, "classes_a", tuple(self.classes_a))
-        object.__setattr__(self, "classes_b", tuple(self.classes_b))
-        object.__setattr__(self, "orbit_pairs", frozenset(self.orbit_pairs))
-        n_a, n_b = len(self.classes_a), len(self.classes_b)
-        orbit_a = [p.a for p in self.orbit_pairs]
-        orbit_b = [p.b for p in self.orbit_pairs]
+    def __init__(
+        self,
+        classes_a: tuple[QuotientPoint, ...],
+        classes_b: tuple[QuotientPoint, ...],
+        orbit_pairs: frozenset[OrbitPair] = frozenset(),
+    ):
+        classes_a = tuple(classes_a)
+        classes_b = tuple(classes_b)
+        orbit_pairs = frozenset(orbit_pairs)
+        n_a, n_b = len(classes_a), len(classes_b)
+        orbit_a = [p.a for p in orbit_pairs]
+        orbit_b = [p.b for p in orbit_pairs]
         if any(not 0 <= i < n_a for i in orbit_a) or any(not 0 <= j < n_b for j in orbit_b):
             raise ValueError("orbit pair index out of range")
         if len(orbit_a) != len(set(orbit_a)) or len(orbit_b) != len(set(orbit_b)):
             raise ValueError("orbit pairs are not injective")
+        object.__setattr__(self, "classes_a", classes_a)
+        object.__setattr__(self, "classes_b", classes_b)
+        object.__setattr__(self, "orbit_pairs", orbit_pairs)
 
     def unmatched_a(self) -> set[int]:
         """Classes with no matched representative at all."""

@@ -11,59 +11,63 @@ integer costs; `Fraction`s appear only at the API boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
+from ._value import Value
 from .rationals import NEG_INF, INF, Ext, as_ext, is_finite, order_key, shown
 
 
-@dataclass(frozen=True, slots=True)
-class PlanePoint:
+class PlanePoint(Value):
     """A diagram point (a, b) in the extended plane, a <= b."""
 
+    __slots__ = ("a", "b")
     a: Ext
     b: Ext
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", as_ext(self.a))
-        object.__setattr__(self, "b", as_ext(self.b))
-        if self.a > self.b:
-            raise ValueError(f"birth exceeds death: ({shown(self.a)}, {shown(self.b)})")
-        if not is_finite(self.a) and not is_finite(self.b) and self.a == self.b:
+    def __init__(self, a: Ext, b: Ext):
+        a = as_ext(a)
+        b = as_ext(b)
+        if a > b:
+            raise ValueError(f"birth exceeds death: ({shown(a)}, {shown(b)})")
+        if not is_finite(a) and not is_finite(b) and a == b:
             raise ValueError("point cannot have both coordinates at the same infinity")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
 
 def _point_key(p: PlanePoint):
     return (*order_key(p.a), *order_key(p.b))
 
 
-@dataclass(frozen=True)
-class Diagram:
+class Diagram(Value):
     """Finite multiset of plane points, stored in sorted order."""
 
-    points: tuple[PlanePoint, ...] = ()
+    __slots__ = ("points",)
+    points: tuple[PlanePoint, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(sorted(self.points, key=_point_key)))
+    def __init__(self, points: tuple[PlanePoint, ...] = ()):
+        object.__setattr__(self, "points", tuple(sorted(points, key=_point_key)))
 
 
-@dataclass(frozen=True)
-class PartialMatching:
+class PartialMatching(Value):
     """An injective-on-both-sides pairing by index between two diagrams.
 
     ``pairs`` holds (index into A, index into B); together with the unmatched
     index sets it must partition both diagrams.
     """
 
+    __slots__ = ("pairs", "unmatched_a", "unmatched_b")
     pairs: frozenset[tuple[int, int]]
     unmatched_a: frozenset[int]
     unmatched_b: frozenset[int]
 
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", frozenset(self.pairs))
-        object.__setattr__(self, "unmatched_a", frozenset(self.unmatched_a))
-        object.__setattr__(self, "unmatched_b", frozenset(self.unmatched_b))
+    def __init__(
+        self, pairs: frozenset[tuple[int, int]], unmatched_a: frozenset[int], unmatched_b: frozenset[int]
+    ):
+        object.__setattr__(self, "pairs", frozenset(pairs))
+        object.__setattr__(self, "unmatched_a", frozenset(unmatched_a))
+        object.__setattr__(self, "unmatched_b", frozenset(unmatched_b))
 
     @classmethod
     def from_pairs(cls, pairs, n_a: int, n_b: int) -> "PartialMatching":

@@ -9,9 +9,9 @@ shifts, which has a closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._value import Value
 from .metric_plane import (
     BottleneckResult,
     Diagram,
@@ -23,20 +23,20 @@ from .metric_plane import (
 from .rationals import as_fraction, shown, unit_representative
 
 
-@dataclass(frozen=True, slots=True)
-class QuotientPoint:
+class QuotientPoint(Value):
     """Class of a finite plane point under diagonal integer shifts.
 
     Stored with a in [0, 1); any representative may be passed in.  The
     persistence b - a is shift-invariant.
     """
 
+    __slots__ = ("a", "b")
     a: Fraction
     b: Fraction
 
-    def __post_init__(self):
-        a = as_fraction(self.a)
-        b = as_fraction(self.b)
+    def __init__(self, a: Fraction, b: Fraction):
+        a = as_fraction(a)
+        b = as_fraction(b)
         canonical = unit_representative(a, b)
         if canonical is None:
             raise ValueError(f"birth exceeds death: ({shown(a)}, {shown(b)})")
@@ -49,11 +49,11 @@ class QuotientPoint:
         return self.b - self.a
 
 
-@dataclass(frozen=True)
 class QuotientDiagram(Diagram):
     """Finite multiset of quotient points, stored in sorted order."""
 
-    points: tuple[QuotientPoint, ...] = ()
+    __slots__ = ()
+    points: tuple[QuotientPoint, ...]
 
 
 def _sum_and_persistence(p: QuotientPoint, scale: int) -> tuple[int, int]:

@@ -499,7 +499,10 @@ class TestExitCodes:
 
     def test_never_imports_numpy(self, tmp_path):
         # README's "nothing else at run time": a fresh interpreter runs each
-        # command and numpy is still not loaded, whether or not it is installed
+        # command and numpy is still not loaded, whether or not it is installed.
+        # Nor is dataclasses, whose import every command's cold start would
+        # pay; the modules the package itself needs come first, so a standard
+        # library import of dataclasses does not count against it
         intervals = write(tmp_path, "iv.txt", "co 0.2 0.5\ncc 0.1 1.4\n")
         a = write(tmp_path, "a.txt", "0 0.5\n0.25 1\n")
         b = write(tmp_path, "b.txt", "0.1 0.6\n")
@@ -513,9 +516,10 @@ class TestExitCodes:
         script = "\n".join(
             [
                 "import sys",
+                "import argparse, fractions, json",
                 "import circlepers.cli",
                 f"codes = [circlepers.cli.main(argv) for argv in {commands!r}]",
-                "print(codes, 'numpy' in sys.modules)",
+                "print(codes, 'numpy' in sys.modules, 'dataclasses' in sys.modules)",
             ]
         )
         src = str(Path(circlepers.__file__).resolve().parents[1])
@@ -525,7 +529,7 @@ class TestExitCodes:
             [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] False"
+        assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] False False"
 
     def test_runs_without_numpy(self, tmp_path):
         a = write(tmp_path, "a.txt", "0 0.5\n")
